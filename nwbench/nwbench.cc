@@ -49,9 +49,10 @@ constexpr uint64_t kHeldOutSeed = 20070611;
 /// kDaemonSetupReps times.
 constexpr size_t kPassesPerSetUp = 16;
 constexpr int kDaemonSetupReps = 11;
-/// ADMIT/RETIRE probes the serve workload runs around its timed phase,
-/// half before and half after: six per admission-pool shape.
+/// ADMIT/RETIRE probes of the serve workload, six per admission-pool
+/// shape, in kServeSegments bursts between segments of its SUBMIT traffic.
 constexpr size_t kServeProbes = 42;
+constexpr size_t kServeSegments = 14;
 /// Pool queries whose oracle automata churn compiles before timing.
 constexpr size_t kChurnPrepared = 48;
 constexpr size_t kChurnDocsPerCycle = 4;
@@ -597,8 +598,9 @@ void MergeSetup(const E2E& setup, std::vector<E2E>* out) {
   if (first.failure.empty()) first.failure = setup.failure;
 }
 
-/// Fills the replay reservoir, then runs ADMIT/RETIRE probes with pool
-/// queries [begin, end) on an otherwise idle daemon.
+/// Refills the replay reservoir with the same documents, so every refresh
+/// replays them (steadiness rule 3), then runs ADMIT/RETIRE probes with
+/// pool queries [begin, end) on an otherwise idle daemon.
 void ServeProbes(const DaemonProcess& d, const Inputs& in, Oracle* oracle,
                  size_t begin, size_t end, E2E* e) {
   std::string error;
@@ -634,54 +636,59 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
   const DaemonSpec spec(a, in, "serve");
   spec.TimeSpawns(kSpawnsBefore, &setup);
   std::unique_ptr<DaemonProcess> daemon = spec.Spawn(&setup);
-  // ADMIT/RETIRE probes around the timed SUBMITs, each half over a
-  // reservoir refilled in a fixed order, so every refresh replays the
-  // same documents (steadiness rule 3).
-  if (daemon != nullptr) {
-    ServeProbes(*daemon, in, &oracle, 0, kServeProbes / 2, &setup);
-  }
   for (size_t w = 0; w < windows.size() && setup.failed == 0; ++w) {
     E2E& e = out[w];
     constexpr size_t kClients = 2;
     std::vector<E2E> per(kClients);
     std::vector<std::unique_ptr<Connection>> conns;
+    std::vector<size_t> next_doc;
     for (size_t c = 0; c < kClients; ++c) {
       std::string error;
       conns.push_back(Connection::Open(daemon->socket_path(), &error));
       if (conns.back() == nullptr) e.Check(error);
+      next_doc.push_back(c * lines.size() / kClients);
     }
     if (e.failed > 0) break;
     std::atomic<uint64_t> next_request{1};
-    const int64_t start = NowNs();
-    const int64_t deadline = start + static_cast<int64_t>(window_s * 1e9);
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        E2E& mine = per[c];
-        std::string resp;
-        nw::DocResult got;
-        for (size_t i = c * lines.size() / kClients; NowNs() < deadline;
-             i = (i + 1) % lines.size()) {
-          int64_t rtt;
-          {
-            ScopedSpan span(windows[w], "serve.submit",
-                            next_request.fetch_add(1));
-            rtt = Call(conns[c].get(), lines[i], &resp, &mine);
+    // The SUBMIT traffic pauses after every segment for a burst of
+    // ADMIT/RETIRE probes, so the probes sample the host all through the
+    // run; no SUBMIT is timed while a refresh runs (steadiness rule 2).
+    for (size_t seg = 0; seg < kServeSegments && setup.failed == 0; ++seg) {
+      const int64_t start = NowNs();
+      const int64_t deadline =
+          start + static_cast<int64_t>(window_s / kServeSegments * 1e9);
+      std::vector<std::thread> clients;
+      for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          E2E& mine = per[c];
+          std::string resp;
+          nw::DocResult got;
+          for (size_t& i = next_doc[c]; NowNs() < deadline;
+               i = (i + 1) % lines.size()) {
+            int64_t rtt;
+            {
+              ScopedSpan span(windows[w], "serve.submit",
+                              next_request.fetch_add(1));
+              rtt = Call(conns[c].get(), lines[i], &resp, &mine);
+            }
+            if (rtt < 0) return;
+            mine.latency_ms.push_back(Ms(rtt));
+            if (!ParseSubmitResponse(resp, &got)) {
+              mine.Check("malformed SUBMIT response");
+              return;
+            }
+            mine.positions += got.positions;
+            ++mine.requests;
+            mine.Check(CompareResult(expected[i], got));
           }
-          if (rtt < 0) return;
-          mine.latency_ms.push_back(Ms(rtt));
-          if (!ParseSubmitResponse(resp, &got)) {
-            mine.Check("malformed SUBMIT response");
-            return;
-          }
-          mine.positions += got.positions;
-          ++mine.requests;
-          mine.Check(CompareResult(expected[i], got));
-        }
-      });
+        });
+      }
+      for (std::thread& t : clients) t.join();
+      e.window_s += static_cast<double>(NowNs() - start) / 1e9;
+      const size_t first = seg * kServeProbes / kServeSegments;
+      ServeProbes(*daemon, in, &oracle, first,
+                  first + kServeProbes / kServeSegments, &setup);
     }
-    for (std::thread& t : clients) t.join();
-    e.window_s = static_cast<double>(NowNs() - start) / 1e9;
     e.stream_s = e.window_s;
     for (const E2E& p : per) {
       e.latency_ms.insert(e.latency_ms.end(), p.latency_ms.begin(),
@@ -695,10 +702,6 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
     e.peak_rss_mb = daemon->PeakRssMb();
   }
   if (daemon != nullptr) {
-    if (setup.failed == 0) {
-      ServeProbes(*daemon, in, &oracle, kServeProbes / 2, kServeProbes,
-                  &setup);
-    }
     Shutdown(daemon.get(), &setup);
     daemon.reset();
     spec.TimeSpawns(kSpawnsAfter, &setup);
