@@ -55,12 +55,8 @@ struct LayerInputs {
   std::vector<Doc> docs;
   /// The same trees rendered as XML, JSON and trace.
   std::vector<Doc> by_format[3];
-  /// What warms the served bank: scan's training corpus, or the recent
-  /// documents a daemon refresh replays.
+  /// The recent documents a daemon refresh replays.
   std::vector<Doc> replay;
-  /// True when the workload freezes after training on `replay` (scan);
-  /// false when it refreshes like the daemon (replay, then ExploreAll).
-  bool train_only = false;
 };
 
 struct LayerEnv {
@@ -78,10 +74,14 @@ struct LayerResult {
   size_t attempted = 0;
   size_t failed = 0;
   std::string failure;
-  /// Mean SUBMIT line size, KB, and one refresh's replay time, ms: the
-  /// bases of the layer shares printed beside the ladder.
+  /// Mean SUBMIT line size, KB (the JSON-quoted line the protocol rung
+  /// parses); one refresh's replay time, ms; and the tokenize and step
+  /// rungs' marginals, us per document: the bases of the layer shares
+  /// printed beside the ladder.
   double request_kb = 0;
   double replay_ms = 0;
+  double tokenize_us = 0;
+  double step_us = 0;
 };
 
 /// The traced run's per-layer measurements: times each layer's public

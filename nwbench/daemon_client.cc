@@ -55,11 +55,14 @@ std::unique_ptr<DaemonProcess> DaemonProcess::Spawn(
   }
   const pid_t parent = ::getpid();
   auto t0 = std::chrono::steady_clock::now();
-  pid_t pid = ::fork();
+  // vfork, not fork: the child borrows this process's memory until exec,
+  // so the spawn time does not include copying the benchmark's page
+  // tables, whose cost varies from run to run.
+  pid_t pid = ::vfork();
   if (pid == 0) {
-    // Child: only async-signal-safe calls until exec. The daemon dies
-    // with the benchmark (fork runs on the main thread, whose exit is
-    // the benchmark's).
+    // Child: only system calls until exec. The daemon dies with the
+    // benchmark (vfork runs on the main thread, whose exit is the
+    // benchmark's).
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
     if (::getppid() != parent) ::_exit(127);
     ::dup2(out[1], STDOUT_FILENO);

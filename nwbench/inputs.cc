@@ -256,8 +256,8 @@ std::vector<std::string> AdmissionPool(const std::vector<std::string>& names,
   };
   std::vector<std::string> out;
   while (out.size() < n) {
-    // Shapes rotate in a fixed order and only the atoms are drawn: compile
-    // cost depends mostly on the shape, so every run admits the same mix.
+    // Shapes rotate in a fixed order and only the atoms are drawn, from a
+    // fixed Rng, so every run admits the same mix of formulas.
     const size_t shape = out.size() % 7;
     if (shape == 0) {
       out.push_back(atom(false));

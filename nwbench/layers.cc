@@ -122,7 +122,7 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
     doc_bytes += d.text.size();
   }
 
-  // -- the served snapshot: trained (scan) or refreshed like the daemon --
+  // -- the served snapshot, refreshed like the daemon's -----------------
   std::unique_ptr<CompiledBank> served = CompileBank(in.bank);
   {
     ScopedSpan span(spans, "layers.warm_bank");
@@ -131,16 +131,15 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
     warm.AddBank(served->bank.shared.get());
     nw::Alphabet scratch = served->alphabet;
     for (const Doc& d : in.replay) warm.RunAll(d.text, &scratch, d.format);
-    if (!in.train_only) served->bank.shared->ExploreAll(kRefreshCap);
+    served->bank.shared->ExploreAll(kRefreshCap);
   }
   std::shared_ptr<const nw::FrozenBank> frozen =
       nw::FrozenBank::FreezeShared(*served->bank.shared);
   const size_t num_symbols = served->alphabet.size();
 
   // -- stream: one tokenizer loop per format, interning included --------
-  // Daemon workloads tokenize each one-document batch into a fresh
-  // alphabet copy (insert-heavy); scan's workers keep one copy per pass.
-  const bool fresh_alphabet_per_doc = !in.train_only;
+  // The daemon tokenizes each one-document batch into a fresh alphabet
+  // copy, so interning here is insert-heavy.
   const char* kStreamNames[] = {"stream.xml_ns_per_pos",
                                 "stream.json_ns_per_pos",
                                 "stream.trace_ns_per_pos"};
@@ -149,14 +148,12 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
     int64_t best = INT64_MAX;
     size_t positions = 0;
     for (int rep = 0; rep < kReps; ++rep) {
-      nw::Alphabet pass = served->alphabet;
       int64_t total = 0;
       positions = 0;
       for (const Doc& d : in.by_format[f]) {
         nw::Alphabet fresh = served->alphabet;
-        nw::Alphabet* a = fresh_alphabet_per_doc ? &fresh : &pass;
         int64_t t0 = NowNs();
-        positions += Tokenize(d, a);
+        positions += Tokenize(d, &fresh);
         total += NowNs() - t0;
       }
       best = std::min(best, total);
@@ -168,8 +165,6 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
   metric("stream.bytes_per_pos",
          static_cast<double>(doc_bytes) / static_cast<double>(doc_positions),
          "B/pos");
-  r.request_kb = static_cast<double>(doc_bytes) / 1024.0 /
-                 static_cast<double>(n);
 
   // -- ladder rungs 1-4 on the served documents --------------------------
   // Rungs 2-4 step the in-process daemon's startup snapshot (and rung 5 a
@@ -249,6 +244,8 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
       overhead.best[i] = rung3.best[i] - rung2.best[i];
       dispatch.best[i] = rung4.best[i] - rung3.best[i];
     }
+    r.tokenize_us = rung1.MedianUs();
+    r.step_us = rung2.MedianUs() - rung1.MedianUs();
   }
 
   // -- query: stepping pre-tokenized words, latch on and off -------------
@@ -421,6 +418,8 @@ LayerResult MeasureLayers(const LayerInputs& in, const LayerEnv& env) {
     }
     metric("daemon.protocol_us_per_kb",
            Us(best) / (static_cast<double>(bytes) / 1024.0), "us/KB");
+    // The share's base is the same line bytes the rate is taken over.
+    r.request_kb = static_cast<double>(bytes) / 1024.0 / static_cast<double>(n);
   }
   std::vector<double> admit_ms, retire_ms, refresh_ms;
   {

@@ -1,15 +1,14 @@
-// nwbench: runs one workload against the real entry points (the
-// sharded nwquery pipeline in-process, nwqueryd over its Unix socket),
+// nwbench: runs one workload against nwqueryd over its Unix socket,
 // checks every output against the single-stream oracle, and prints the
-// end-to-end metrics, or with --trace 1 the per-layer ladder. The last
-// stdout line is one JSON object {correct, attempted, failed, metrics}.
+// end-to-end metrics, or with --trace 1 the per-layer ladder, which also
+// times the in-process layers below the daemon. The last stdout line is
+// one JSON object {correct, attempted, failed, metrics}.
 //
-//   nwbench --workload scan|serve|churn --seed N --seconds S --trace 0|1
+//   nwbench --workload serve|churn --seed N --seconds S --trace 0|1
 //           --nwqueryd PATH --out-dir DIR [--corrupt-expectation]
 //
 // nwbench/README.md describes the workloads, metrics and steadiness rules.
 #include <sched.h>
-#include <sys/resource.h>
 #include <sys/stat.h>
 #include <time.h>
 #include <unistd.h>
@@ -44,17 +43,31 @@ using nw::InputFormat;
 /// Second seed, held out: later claims are checked on it after being
 /// tuned on others (README.md).
 constexpr uint64_t kHeldOutSeed = 20070611;
-/// Set-up is repeated and its median reported: scan sets up again after
-/// every kPassesPerSetUp passes, the daemon workloads spawn nwqueryd
-/// kDaemonSetupReps times.
-constexpr size_t kPassesPerSetUp = 16;
-constexpr int kDaemonSetupReps = 11;
-/// ADMIT/RETIRE probes of the serve workload, six per admission-pool
-/// shape, in kServeSegments bursts between segments of its SUBMIT traffic.
+/// Each run pauses its timed traffic kPauses times, spread evenly over
+/// the run. In every pause one more nwqueryd is spawned and timed to its
+/// ready line; serve also runs its ADMIT/RETIRE probes there. setup_s is
+/// the fastest of these spawns and the serving one. The host's speed
+/// shifts for seconds at a time, so the more moments these samples come
+/// from, the less their medians depend on when the slow spells fell:
+/// with 14 pauses serve's warm_p50_ms spread 0.32 over ten seeds while
+/// its latency_p50_ms, sampled all through the run, spread 0.12.
+constexpr size_t kPauses = 42;
+/// ADMIT/RETIRE probes of the serve workload, kServeProbes / kPauses per
+/// pause, every one admitting pool query kServeProbeQuery, an `a and not
+/// b` (about 35 ms to compile). Compile costs differ up to fivefold
+/// between pool queries and form clusters; over several queries the
+/// median fell between two clusters and swung from run to run (spread
+/// 0.28 over ten seeds with 42 distinct queries, 0.25 with six repeats of
+/// seven). A single cheap query fared worse (0.37): on one CPU the
+/// refresher woken at the end of an ADMIT takes the CPU for one scheduler
+/// slice, about 4 ms, before the reply goes out in some ADMITs and not in
+/// others, which doubles a 5 ms ADMIT but adds a tenth to this one.
 constexpr size_t kServeProbes = 42;
-constexpr size_t kServeSegments = 14;
-/// Pool queries whose oracle automata churn compiles before timing.
-constexpr size_t kChurnPrepared = 48;
+constexpr size_t kServeProbeQuery = 4;
+/// Admission pool size. churn cycles through the whole pool, about ten
+/// times in a 30 s run, so each query's cost enters its median many times
+/// however many cycles the host's speed allows.
+constexpr size_t kPoolSize = 42;
 constexpr size_t kChurnDocsPerCycle = 4;
 
 struct Args {
@@ -96,8 +109,7 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       return false;
     }
   }
-  return (a->workload == "scan" || a->workload == "serve" ||
-          a->workload == "churn") &&
+  return (a->workload == "serve" || a->workload == "churn") &&
          !a->nwqueryd.empty() && !a->out_dir.empty();
 }
 
@@ -152,7 +164,9 @@ std::string HostJson() {
 /// the affinity cannot be read or set). On a host whose effective
 /// parallelism is about one, a wake-up that crosses CPUs costs more than
 /// a small request and varies with the host's load; on one CPU every
-/// hand-off is a plain context switch (README.md, steadiness rule 5).
+/// hand-off is a plain context switch. The daemon's threads and the
+/// clients then time-slice, so serve measures per-request CPU cost, not
+/// concurrent serving (README.md, steadiness rule 5).
 int PinToOneCpu() {
   cpu_set_t allowed;
   CPU_ZERO(&allowed);
@@ -167,12 +181,6 @@ int PinToOneCpu() {
   return -1;
 }
 
-double SelfPeakRssMb() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
 // ---------------------------------------------------------------------------
 // Inputs
 // ---------------------------------------------------------------------------
@@ -185,11 +193,11 @@ struct Inputs {
   std::vector<std::string> bank;
   std::vector<std::string> pool;
   size_t threads = 1;
-  /// scan: the timed corpus; serve: the request pool; churn: the
-  /// documents SUBMITted in cycles, four per cycle.
+  /// serve: the request pool; churn: the documents SUBMITted in cycles,
+  /// four per cycle.
   std::vector<Doc> timed;
-  /// scan: the training corpus; serve: the last 64 requests; churn: the
-  /// 64 documents that fill the daemon's replay reservoir before timing.
+  /// The 64 documents that fill the daemon's replay reservoir before
+  /// anything is timed (serve: the last 64 requests).
   std::vector<Doc> replay;
   LayerInputs layers;
 };
@@ -213,22 +221,12 @@ Inputs MakeInputs(const std::string& workload, uint64_t seed) {
   std::vector<std::string> names = vocab.BankNames();
   Inputs in;
   size_t ladder_docs = 0;
-  size_t max_depth = 10;
+  const size_t max_depth = 10;
   std::function<size_t(nw::Rng*)> size;
   std::function<InputFormat(size_t)> format = [](size_t) {
     return InputFormat::kXml;
   };
-  if (workload == "scan") {
-    in.bank = BankQueries(names, 16);
-    in.threads = 2;
-    max_depth = 12;
-    size = [](nw::Rng*) { return size_t{32768}; };
-    in.timed = MakeDocs(Stream(seed, 1), vocab, 16, max_depth, size, format);
-    in.replay = MakeDocs(
-        Stream(seed, 2), vocab, 8, max_depth,
-        [](nw::Rng*) { return size_t{8192}; }, format);
-    ladder_docs = 4;
-  } else if (workload == "serve") {
+  if (workload == "serve") {
     in.bank = BankQueries(names, 16);
     in.threads = 2;
     size = [](nw::Rng* r) { return 1024 + r->Below(3073); };
@@ -257,7 +255,7 @@ Inputs MakeInputs(const std::string& workload, uint64_t seed) {
   for (size_t s = 0; s < bank_names.size(); ++s) {
     pool_names.push_back(bank_names.Name(static_cast<nw::Symbol>(s)));
   }
-  in.pool = AdmissionPool(pool_names, 256);
+  in.pool = AdmissionPool(pool_names, kPoolSize);
   LayerInputs& l = in.layers;
   l.bank = in.bank;
   l.pool = in.pool;
@@ -271,7 +269,6 @@ Inputs MakeInputs(const std::string& workload, uint64_t seed) {
                  [&](size_t) { return kAll[f]; });
   }
   l.replay = in.replay;
-  l.train_only = workload == "scan";
   return in;
 }
 
@@ -281,6 +278,7 @@ Inputs MakeInputs(const std::string& workload, uint64_t seed) {
 
 /// Raw samples of one timed window.
 struct E2E {
+  /// nwqueryd spawn -> ready line, one sample per spawn.
   std::vector<double> setup_s;
   double peak_rss_mb = 0;
   std::vector<double> latency_ms;
@@ -310,7 +308,10 @@ struct E2E {
 std::vector<Metric> EndToEnd(const E2E& e) {
   auto ratio = [](double num, double den) { return den > 0 ? num / den : 0; };
   return {
-      {"setup_s", Median(e.setup_s), "s"},
+      // The fastest spawn: the host's other tenants only ever add time to
+      // a spawn-to-ready, so the minimum is the steadiest estimate of the
+      // daemon's own start-up cost.
+      {"setup_s", Percentile(e.setup_s, 0), "s"},
       {"peak_rss_mb", e.peak_rss_mb, "MB"},
       {"throughput_mpos_s",
        ratio(static_cast<double>(e.positions), e.stream_s) / 1e6, "Mpos/s"},
@@ -323,88 +324,6 @@ std::vector<Metric> EndToEnd(const E2E& e) {
 }
 
 double Ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
-
-// -- scan -------------------------------------------------------------------
-
-struct ScanBank {
-  std::unique_ptr<CompiledBank> compiled;
-  /// Aliases `compiled`'s automata, so it is declared (and destroyed)
-  /// after it.
-  std::shared_ptr<const nw::FrozenBank> frozen;
-};
-
-std::vector<E2E> RunScan(const Args& a, const Inputs& in,
-                         const std::vector<SpanLog*>& windows,
-                         double window_s) {
-  std::vector<E2E> out(windows.size());
-  Oracle oracle(in.bank);
-  std::vector<nw::DocResult> expected;
-  std::vector<std::string> corpus;
-  for (const Doc& d : in.timed) {
-    expected.push_back(oracle.Eval(in.bank, d));
-    corpus.push_back(d.text);
-  }
-  if (a.corrupt) expected[0].accept[0] = !expected[0].accept[0];
-
-  // Set-up: query parse → OptimizeBank (the "admit" share) → training on
-  // the disjoint corpus → Freeze (the "warm" share). It repeats between
-  // passes all through the window, so its median sees the same host
-  // conditions the passes do.
-  auto set_up = [&in](E2E* e) {
-    int64_t t0 = NowNs();
-    ScanBank b{CompileBank(in.bank), nullptr};
-    int64_t t1 = NowNs();
-    const CompiledBank& c = *b.compiled;
-    nw::QueryEngine trainer(c.alphabet.size());
-    trainer.set_other_symbol(c.other);
-    trainer.AddBank(c.bank.shared.get());
-    nw::Alphabet scratch = c.alphabet;
-    for (const Doc& d : in.replay) trainer.RunAll(d.text, &scratch, d.format);
-    b.frozen = nw::FrozenBank::FreezeShared(*c.bank.shared);
-    int64_t t2 = NowNs();
-    e->setup_s.push_back(static_cast<double>(t2 - t0) / 1e9);
-    e->admit_ms.push_back(Ms(t1 - t0));
-    e->warm_ms.push_back(Ms(t2 - t1));
-    return b;
-  };
-  const ScanBank served = set_up(&out[0]);
-  const CompiledBank& bank = *served.compiled;
-
-  nw::ShardedEvaluator evaluator(served.frozen.get(), bank.alphabet.size(),
-                                 bank.other, in.threads, InputFormat::kXml);
-  // One untimed pass warms the allocator and caches.
-  evaluator.EvaluateCorpus(corpus, bank.alphabet, true);
-  for (size_t w = 0; w < windows.size(); ++w) {
-    E2E& e = out[w];
-    const int64_t deadline = NowNs() + static_cast<int64_t>(window_s * 1e9);
-    for (size_t pass = 1; NowNs() < deadline; ++pass) {
-      if (pass % kPassesPerSetUp == 0) set_up(&e);
-      std::vector<nw::DocResult> results;
-      int64_t t0, t1;
-      {
-        ScopedSpan span(windows[w], "scan.evaluate_corpus");
-        t0 = NowNs();
-        results = evaluator.EvaluateCorpus(corpus, bank.alphabet, true);
-        t1 = NowNs();
-      }
-      ScopedSpan check(windows[w], "scan.check");
-      e.latency_ms.push_back(Ms(t1 - t0));
-      e.requests += results.size();
-      for (size_t i = 0; i < results.size(); ++i) {
-        e.positions += results[i].positions;
-        e.Check(CompareResult(expected[i], results[i]));
-      }
-    }
-    // Every pass streams the same corpus, so the throughputs are taken at
-    // the median pass: a burst of interference from the host's other
-    // tenants moves the mean, not the median.
-    e.window_s = Median(e.latency_ms) / 1e3 *
-                 static_cast<double>(e.latency_ms.size());
-    e.stream_s = e.window_s;
-    e.peak_rss_mb = SelfPeakRssMb();
-  }
-  return out;
-}
 
 // -- daemon workloads ---------------------------------------------------------
 
@@ -542,18 +461,21 @@ struct DaemonSpec {
         query_file(a.out_dir + "/" + tag + ".nwq"),
         socket_path(a.out_dir + "/" + tag + "-" +
                     std::to_string(::getpid()) + ".sock"),
+        spare_socket_path(a.out_dir + "/" + tag + "-" +
+                          std::to_string(::getpid()) + "-spare.sock"),
         log_path(a.out_dir + "/nwqueryd.log"),
         threads(in.threads) {
     std::ofstream qf(query_file);
     for (const std::string& q : in.bank) qf << q << "\n";
   }
 
-  /// Spawns nwqueryd and records spawn → ready line into `e->setup_s`;
-  /// null after recording the failure.
-  std::unique_ptr<DaemonProcess> Spawn(E2E* e) const {
+  /// Spawns nwqueryd on `socket` and records spawn → ready line into
+  /// `e->setup_s`; null after recording the failure.
+  std::unique_ptr<DaemonProcess> Spawn(const std::string& socket,
+                                       E2E* e) const {
     std::string error;
     auto d = DaemonProcess::Spawn(
-        binary, socket_path, query_file,
+        binary, socket, query_file,
         {"--threads", std::to_string(threads), "--refresh-cap",
          std::to_string(kRefreshCap)},
         log_path, &error);
@@ -565,25 +487,19 @@ struct DaemonSpec {
     return d;
   }
 
-  /// `reps` timed spawns, each stopped by SIGTERM (which drains at once,
-  /// where SHUTDOWN waits out the accept poll) and required to exit 0.
-  void TimeSpawns(int reps, E2E* e) const {
-    for (int rep = 0; rep < reps; ++rep) {
-      std::unique_ptr<DaemonProcess> d = Spawn(e);
-      if (d == nullptr) return;
-      int code = d->Terminate();
-      e->Check(code == 0 ? "" : "nwqueryd exited with " + std::to_string(code));
-    }
+  /// One more timed spawn on a socket of its own, beside the idle
+  /// serving daemon; stopped by SIGTERM (which drains at once, where
+  /// SHUTDOWN waits out the accept poll) and required to exit 0.
+  void TimeSpareSpawn(E2E* e) const {
+    std::unique_ptr<DaemonProcess> d = Spawn(spare_socket_path, e);
+    if (d == nullptr) return;
+    int code = d->Terminate();
+    e->Check(code == 0 ? "" : "nwqueryd exited with " + std::to_string(code));
   }
 
-  std::string binary, query_file, socket_path, log_path;
+  std::string binary, query_file, socket_path, spare_socket_path, log_path;
   size_t threads;
 };
-
-/// Half the set-up spawns run before the timed phase and half after, so
-/// their median does not rest on one moment of the host's load.
-constexpr int kSpawnsBefore = kDaemonSetupReps / 2;
-constexpr int kSpawnsAfter = kDaemonSetupReps - kSpawnsBefore - 1;
 
 /// Folds set-up samples and counts into every window's result.
 void MergeSetup(const E2E& setup, std::vector<E2E>* out) {
@@ -599,10 +515,10 @@ void MergeSetup(const E2E& setup, std::vector<E2E>* out) {
 }
 
 /// Refills the replay reservoir with the same documents, so every refresh
-/// replays them (steadiness rule 3), then runs ADMIT/RETIRE probes with
-/// pool queries [begin, end) on an otherwise idle daemon.
+/// replays them (steadiness rule 3), then runs `probes` ADMIT/RETIRE
+/// cycles of pool query kServeProbeQuery on an otherwise idle daemon.
 void ServeProbes(const DaemonProcess& d, const Inputs& in, Oracle* oracle,
-                 size_t begin, size_t end, E2E* e) {
+                 size_t probes, E2E* e) {
   std::string error;
   auto c = Connection::Open(d.socket_path(), &error);
   if (c == nullptr) {
@@ -610,9 +526,9 @@ void ServeProbes(const DaemonProcess& d, const Inputs& in, Oracle* oracle,
     return;
   }
   FillReservoir(c.get(), in, oracle, e);
-  for (size_t p = begin; p < end && e->failed == 0; ++p) {
+  for (size_t p = 0; p < probes && e->failed == 0; ++p) {
     uint64_t epoch = 0;
-    if (!AdmitCycle(c.get(), in.pool[p], e, nullptr, &epoch,
+    if (!AdmitCycle(c.get(), in.pool[kServeProbeQuery], e, nullptr, &epoch,
                     [](uint64_t) { return true; })) {
       return;
     }
@@ -634,8 +550,7 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
 
   E2E setup;
   const DaemonSpec spec(a, in, "serve");
-  spec.TimeSpawns(kSpawnsBefore, &setup);
-  std::unique_ptr<DaemonProcess> daemon = spec.Spawn(&setup);
+  std::unique_ptr<DaemonProcess> daemon = spec.Spawn(spec.socket_path, &setup);
   for (size_t w = 0; w < windows.size() && setup.failed == 0; ++w) {
     E2E& e = out[w];
     constexpr size_t kClients = 2;
@@ -651,12 +566,13 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
     if (e.failed > 0) break;
     std::atomic<uint64_t> next_request{1};
     // The SUBMIT traffic pauses after every segment for a burst of
-    // ADMIT/RETIRE probes, so the probes sample the host all through the
-    // run; no SUBMIT is timed while a refresh runs (steadiness rule 2).
-    for (size_t seg = 0; seg < kServeSegments && setup.failed == 0; ++seg) {
+    // ADMIT/RETIRE probes and one spare spawn, so these sample the host
+    // all through the run; no SUBMIT is timed while a refresh runs
+    // (steadiness rule 2).
+    for (size_t seg = 0; seg < kPauses && setup.failed == 0; ++seg) {
       const int64_t start = NowNs();
       const int64_t deadline =
-          start + static_cast<int64_t>(window_s / kServeSegments * 1e9);
+          start + static_cast<int64_t>(window_s / kPauses * 1e9);
       std::vector<std::thread> clients;
       for (size_t c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
@@ -685,9 +601,8 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
       }
       for (std::thread& t : clients) t.join();
       e.window_s += static_cast<double>(NowNs() - start) / 1e9;
-      const size_t first = seg * kServeProbes / kServeSegments;
-      ServeProbes(*daemon, in, &oracle, first,
-                  first + kServeProbes / kServeSegments, &setup);
+      ServeProbes(*daemon, in, &oracle, kServeProbes / kPauses, &setup);
+      spec.TimeSpareSpawn(&setup);
     }
     e.stream_s = e.window_s;
     for (const E2E& p : per) {
@@ -701,11 +616,7 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
     }
     e.peak_rss_mb = daemon->PeakRssMb();
   }
-  if (daemon != nullptr) {
-    Shutdown(daemon.get(), &setup);
-    daemon.reset();
-    spec.TimeSpawns(kSpawnsAfter, &setup);
-  }
+  if (daemon != nullptr) Shutdown(daemon.get(), &setup);
   MergeSetup(setup, &out);
   return out;
 }
@@ -715,13 +626,10 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
                           double window_s) {
   std::vector<E2E> out(windows.size());
   Oracle oracle(in.bank);
-  for (size_t p = 0; p < kChurnPrepared && p < in.pool.size(); ++p) {
-    oracle.Prepare(in.pool[p]);
-  }
+  for (const std::string& q : in.pool) oracle.Prepare(q);
   E2E setup;
   const DaemonSpec spec(a, in, "churn");
-  spec.TimeSpawns(kSpawnsBefore, &setup);
-  std::unique_ptr<DaemonProcess> daemon = spec.Spawn(&setup);
+  std::unique_ptr<DaemonProcess> daemon = spec.Spawn(spec.socket_path, &setup);
   std::unique_ptr<Connection> c;
   if (daemon != nullptr) {
     std::string error;
@@ -736,8 +644,19 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
     E2E& e = out[w];
     SpanLog* spans = windows[w];
     const int64_t start = NowNs();
-    const int64_t deadline = start + static_cast<int64_t>(window_s * 1e9);
+    const int64_t window_ns = static_cast<int64_t>(window_s * 1e9);
+    const int64_t deadline = start + window_ns;
+    // A spare spawn between cycles every window/kPauses, starting half an
+    // interval in; the pauses are left out of the window's wall time.
+    int64_t next_pause = start + window_ns / kPauses / 2;
+    int64_t paused_ns = 0;
     for (size_t cycle = 0; NowNs() < deadline && e.failed == 0; ++cycle) {
+      if (NowNs() >= next_pause) {
+        const int64_t t0 = NowNs();
+        spec.TimeSpareSpawn(&setup);
+        next_pause += window_ns / kPauses;
+        paused_ns += NowNs() - t0;
+      }
       ScopedSpan span(spans, "churn.cycle", cycle + 1);
       const std::string& query = in.pool[cycle % in.pool.size()];
       std::vector<std::string> in_force = in.bank;
@@ -779,15 +698,11 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
       });
       e.requests += (e.admit_ms.size() - ops_before) * 2;
     }
-    e.window_s = static_cast<double>(NowNs() - start) / 1e9;
+    e.window_s = static_cast<double>(NowNs() - start - paused_ns) / 1e9;
     e.peak_rss_mb = daemon->PeakRssMb();
   }
   c.reset();
-  if (daemon != nullptr) {
-    Shutdown(daemon.get(), &setup);
-    daemon.reset();
-    spec.TimeSpawns(kSpawnsAfter, &setup);
-  }
+  if (daemon != nullptr) Shutdown(daemon.get(), &setup);
   MergeSetup(setup, &out);
   return out;
 }
@@ -886,9 +801,7 @@ int Run(const Args& a) {
     window_s = a.seconds / 2;
   }
   std::vector<E2E> e2e;
-  if (a.workload == "scan") {
-    e2e = RunScan(a, in, windows, window_s);
-  } else if (a.workload == "serve") {
+  if (a.workload == "serve") {
     e2e = RunServe(a, in, windows, window_s);
   } else {
     e2e = RunChurn(a, in, windows, window_s);
@@ -933,17 +846,13 @@ int Run(const Args& a) {
     auto layer = [&layers](const char* name) {
       return MetricValue(layers.metrics, name);
     };
-    const double e2e_ns_per_pos = 1e3 / e2e("throughput_mpos_s");
-    // Every thread shares one CPU (steadiness rule 5), so one position's
-    // wall time is its CPU time whatever the worker count.
-    std::printf("share scan: tokenize=%.3f step=%.3f of end-to-end %.1f "
-                "ns/pos\n",
-                layer("stream.xml_ns_per_pos") / e2e_ns_per_pos,
-                layer("query.step_ns_per_pos") / e2e_ns_per_pos,
-                e2e_ns_per_pos);
+    // Every thread shares one CPU (steadiness rule 5), so a request's
+    // wall time is the CPU time of all the layers it passes through.
     const double lat_us = e2e("latency_p50_ms") * 1000;
-    std::printf("share serve: call_overhead=%.3f dispatch=%.3f "
-                "protocol=%.3f socket=%.3f of latency_p50 %.1f us\n",
+    std::printf("share serve: tokenize=%.3f step=%.3f call_overhead=%.3f "
+                "dispatch=%.3f protocol=%.3f socket=%.3f of latency_p50 "
+                "%.1f us\n",
+                layers.tokenize_us / lat_us, layers.step_us / lat_us,
                 layer("serve.call_overhead_us") / lat_us,
                 layer("daemon.dispatch_us") / lat_us,
                 layer("daemon.protocol_us_per_kb") * layers.request_kb / lat_us,
@@ -997,7 +906,7 @@ int main(int argc, char** argv) {
   nwbench::Args args;
   if (!nwbench::ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: nwbench --workload scan|serve|churn --seed N "
+                 "usage: nwbench --workload serve|churn --seed N "
                  "--seconds S --trace 0|1 --nwqueryd PATH --out-dir DIR "
                  "[--corrupt-expectation]\n");
     return 2;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """NWBench entry point: builds the benchmark from source, then runs one workload.
 
-    python3 nwbench/run.py --workload scan|serve|churn --seed N --seconds S --trace 0|1
+    python3 nwbench/run.py --workload serve|churn --seed N --seconds S --trace 0|1
     python3 nwbench/run.py --selftest
 
 Run from the repository root. The build goes to $CARGO_TARGET_DIR, or to
@@ -20,6 +20,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RUN_TIMEOUT_S = 170
+WORKLOADS = ("serve", "churn")
 
 
 def build_dir():
@@ -79,10 +80,10 @@ def last_json(text):
 
 def selftest(bdir):
     ok = True
-    for workload in ("scan", "serve", "churn"):
-        code, out = run_bench(bdir, ["--workload", workload, "--seed", "7",
-                                     "--seconds", "1", "--trace", "0",
-                                     "--corrupt-expectation"])
+    for workload in WORKLOADS:
+        args = ["--workload", workload, "--seed", "7", "--seconds", "1",
+                "--trace", "0"]
+        code, out = run_bench(bdir, args + ["--corrupt-expectation"])
         result = last_json(out)
         failed = (code != 0 and result is not None
                   and result["correct"] is False and result["failed"] >= 1)
@@ -90,20 +91,20 @@ def selftest(bdir):
               % (workload, "fails the run" if failed else "NOT DETECTED",
                  code, result and {k: result[k] for k in
                                    ("correct", "attempted", "failed")}))
-        ok &= failed
-    code, out = run_bench(bdir, ["--workload", "scan", "--seed", "7",
-                                 "--seconds", "1", "--trace", "0"])
-    result = last_json(out)
-    passed = code == 0 and result is not None and result["correct"] is True
-    print("selftest scan uncorrupted: %s" % ("passes" if passed else "FAILS"))
-    ok &= passed
+        code, out = run_bench(bdir, args)
+        result = last_json(out)
+        passed = (code == 0 and result is not None
+                  and result["correct"] is True and result["failed"] == 0)
+        print("selftest %s uncorrupted: %s"
+              % (workload, "passes" if passed else "FAILS"))
+        ok &= failed and passed
     print("selftest %s" % ("ok" if ok else "FAILED"))
     return 0 if ok else 1
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", choices=["scan", "serve", "churn"])
+    p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--trace", choices=["0", "1"], default="0")
