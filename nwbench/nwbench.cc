@@ -15,11 +15,13 @@
 
 #include <atomic>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -52,22 +54,38 @@ constexpr uint64_t kHeldOutSeed = 20070611;
 /// with 14 pauses serve's warm_p50_ms spread 0.32 over ten seeds while
 /// its latency_p50_ms, sampled all through the run, spread 0.12.
 constexpr size_t kPauses = 42;
+/// Every timing metric but setup_s is taken from the run's best stretch:
+/// the smallest of the stretches' medians, the largest of their rates. A
+/// stretch is a fixed share of the workload: in serve, kPauses /
+/// kServeStretches traffic segments and the probes in the pauses after
+/// them; in churn, kChurnStretchCycles cycles, and for admit_p50_ms one
+/// whole pass over the admission pool, so that each of its stretches
+/// admits every pool query once. Within one run the host slowed the same
+/// work by up to 40% for seconds at a time, so a median over the whole run
+/// rose with the share of the run such spells took: churn's warm_p50_ms
+/// spread 0.19 over five seeds as a median of all samples and 0.03 as the
+/// best of 14-cycle stretches. Shorter stretches more often fall wholly
+/// between two slow spells; admit_p50_ms over stretches of 14 cycles
+/// followed which pool queries the best stretch held (spread 0.20).
+constexpr size_t kServeStretches = 14;
+constexpr size_t kChurnStretchCycles = 14;
 /// ADMIT/RETIRE probes of the serve workload, kServeProbes / kPauses per
-/// pause, every one admitting pool query kServeProbeQuery, an `a and not
-/// b` (about 35 ms to compile). Compile costs differ up to fivefold
-/// between pool queries and form clusters; over several queries the
-/// median fell between two clusters and swung from run to run (spread
-/// 0.28 over ten seeds with 42 distinct queries, 0.25 with six repeats of
-/// seven). A single cheap query fared worse (0.37): on one CPU the
-/// refresher woken at the end of an ADMIT takes the CPU for one scheduler
-/// slice, about 4 ms, before the reply goes out in some ADMITs and not in
-/// others, which doubles a 5 ms ADMIT but adds a tenth to this one.
-constexpr size_t kServeProbes = 42;
+/// pause (six in each stretch), every one admitting pool query
+/// kServeProbeQuery, an `a and not b` (about 35 ms to compile). Compile
+/// costs differ up to fivefold between pool queries and form clusters;
+/// over several queries the median fell between two clusters and swung
+/// from run to run (spread 0.28 over ten seeds with 42 distinct queries,
+/// 0.25 with six repeats of seven). A single cheap query fared worse
+/// (0.37): on one CPU the refresher woken at the end of an ADMIT takes the
+/// CPU for one scheduler slice, about 4 ms, before the reply goes out in
+/// some ADMITs and not in others, which doubles a 5 ms ADMIT but adds a
+/// tenth to this one.
+constexpr size_t kServeProbes = 84;
 constexpr size_t kServeProbeQuery = 4;
-/// Admission pool size. churn cycles through the whole pool, about ten
-/// times in a 30 s run, so each query's cost enters its median many times
-/// however many cycles the host's speed allows.
+/// Admission pool size. churn cycles through the whole pool, about fifteen
+/// times in a 40 s run, and each pass is three whole stretches.
 constexpr size_t kPoolSize = 42;
+static_assert(kPoolSize % kChurnStretchCycles == 0);
 constexpr size_t kChurnDocsPerCycle = 4;
 
 struct Args {
@@ -276,20 +294,40 @@ Inputs MakeInputs(const std::string& workload, uint64_t seed) {
 // End-to-end measurement
 // ---------------------------------------------------------------------------
 
+/// One timing and the stretch of the run it was taken in.
+struct Sample {
+  size_t stretch;
+  double value;
+};
+
+/// A piece of timed work: its stretch, how long it took, and the
+/// positions and requests it completed.
+struct Work {
+  size_t stretch;
+  double seconds;
+  size_t positions;
+  size_t requests;
+};
+
 /// Raw samples of one timed window.
 struct E2E {
   /// nwqueryd spawn -> ready line, one sample per spawn.
   std::vector<double> setup_s;
   double peak_rss_mb = 0;
-  std::vector<double> latency_ms;
-  std::vector<double> admit_ms;
-  std::vector<double> warm_ms;
-  /// Completed operations and the wall time they took.
-  size_t requests = 0;
-  double window_s = 0;
-  /// Positions streamed and the time spent streaming them.
-  size_t positions = 0;
-  double stream_s = 0;
+  std::vector<Sample> latency_ms;
+  std::vector<Sample> admit_ms;
+  std::vector<Sample> warm_ms;
+  /// The work throughput_rps counts requests of (serve: traffic segments;
+  /// churn: cycles, without the pauses between them) and the work
+  /// throughput_mpos_s counts positions of (serve: the same segments;
+  /// churn: SUBMIT round trips).
+  std::vector<Work> traffic;
+  std::vector<Work> streaming;
+  /// Stretches from this one on are left out of the metrics: churn's
+  /// unfinished last pass over the pool.
+  size_t stretch_limit = SIZE_MAX;
+  /// admit_p50_ms joins this many consecutive stretches into one.
+  size_t admit_stretches = 1;
   size_t attempted = 0;
   size_t failed = 0;
   std::string failure;
@@ -305,21 +343,67 @@ struct E2E {
   }
 };
 
+std::vector<double> Values(const std::vector<Sample>& v) {
+  std::vector<double> out;
+  for (const Sample& s : v) out.push_back(s.value);
+  return out;
+}
+
+/// The median of each counted stretch's samples, in stretch order, with
+/// every `join` consecutive stretches taken as one.
+std::vector<double> StretchMedians(const std::vector<Sample>& v, size_t limit,
+                                   size_t join = 1) {
+  std::map<size_t, std::vector<double>> by;
+  for (const Sample& s : v) {
+    if (s.stretch < limit) by[s.stretch / join].push_back(s.value);
+  }
+  std::vector<double> out;
+  for (const auto& [stretch, values] : by) out.push_back(Median(values));
+  return out;
+}
+
+/// Each counted stretch's rate of `count` per second of work.
+std::vector<double> StretchRates(const std::vector<Work>& v,
+                                 size_t Work::*count, size_t limit) {
+  std::map<size_t, std::pair<double, double>> by;  // count, seconds
+  for (const Work& w : v) {
+    if (w.stretch >= limit) continue;
+    by[w.stretch].first += static_cast<double>(w.*count);
+    by[w.stretch].second += w.seconds;
+  }
+  std::vector<double> out;
+  for (const auto& [stretch, done] : by) {
+    if (done.second > 0) out.push_back(done.first / done.second);
+  }
+  return out;
+}
+
+double Min(const std::vector<double>& v) {
+  return v.empty() ? 0 : *std::min_element(v.begin(), v.end());
+}
+
+double Max(const std::vector<double>& v) {
+  return v.empty() ? 0 : *std::max_element(v.begin(), v.end());
+}
+
 std::vector<Metric> EndToEnd(const E2E& e) {
-  auto ratio = [](double num, double den) { return den > 0 ? num / den : 0; };
+  // Every timing is taken from the run's best stretch (steadiness rule 8):
+  // the host's other tenants only ever add time, for seconds at a time,
+  // and a change to the program moves every stretch.
+  const size_t limit = e.stretch_limit;
   return {
-      // The fastest spawn: the host's other tenants only ever add time to
-      // a spawn-to-ready, so the minimum is the steadiest estimate of the
-      // daemon's own start-up cost.
+      // The fastest spawn, for the same reason.
       {"setup_s", Percentile(e.setup_s, 0), "s"},
       {"peak_rss_mb", e.peak_rss_mb, "MB"},
       {"throughput_mpos_s",
-       ratio(static_cast<double>(e.positions), e.stream_s) / 1e6, "Mpos/s"},
-      {"latency_p50_ms", Median(e.latency_ms), "ms"},
-      {"throughput_rps", ratio(static_cast<double>(e.requests), e.window_s),
+       Max(StretchRates(e.streaming, &Work::positions, limit)) / 1e6,
+       "Mpos/s"},
+      {"latency_p50_ms", Min(StretchMedians(e.latency_ms, limit)), "ms"},
+      {"throughput_rps", Max(StretchRates(e.traffic, &Work::requests, limit)),
        "req/s"},
-      {"admit_p50_ms", Median(e.admit_ms), "ms"},
-      {"warm_p50_ms", Median(e.warm_ms), "ms"},
+      {"admit_p50_ms",
+       Min(StretchMedians(e.admit_ms, limit, e.admit_stretches)), "ms"},
+      {"warm_p50_ms", Min(StretchMedians(e.warm_ms, limit)), "ms"},
   };
 }
 
@@ -379,9 +463,10 @@ double WaitWarm(Connection* c, uint64_t epoch, int64_t since_ns, E2E* e,
 }
 
 /// ADMIT `query`, wait warm, RETIRE, wait warm. Records the ADMIT round
-/// trip and both warm waits; returns the admitted qid's epoch or false.
-bool AdmitCycle(Connection* c, const std::string& query, E2E* e,
-                SpanLog* spans, uint64_t* admit_epoch,
+/// trip and both warm waits in `stretch`; returns the admitted qid's epoch
+/// or false.
+bool AdmitCycle(Connection* c, const std::string& query, size_t stretch,
+                E2E* e, SpanLog* spans, uint64_t* admit_epoch,
                 const std::function<bool(uint64_t)>& while_admitted) {
   std::string resp;
   int64_t rtt;
@@ -399,10 +484,10 @@ bool AdmitCycle(Connection* c, const std::string& query, E2E* e,
     e->Fail("malformed ADMIT response");
     return false;
   }
-  e->admit_ms.push_back(Ms(rtt));
+  e->admit_ms.push_back({stretch, Ms(rtt)});
   double warm = WaitWarm(c, *admit_epoch, answered, e, spans);
   if (warm < 0) return false;
-  e->warm_ms.push_back(warm);
+  e->warm_ms.push_back({stretch, warm});
   if (!while_admitted(*admit_epoch)) return false;
   {
     ScopedSpan span(spans, "client.retire");
@@ -419,7 +504,7 @@ bool AdmitCycle(Connection* c, const std::string& query, E2E* e,
   }
   warm = WaitWarm(c, retire_epoch, answered, e, spans);
   if (warm < 0) return false;
-  e->warm_ms.push_back(warm);
+  e->warm_ms.push_back({stretch, warm});
   return true;
 }
 
@@ -516,9 +601,10 @@ void MergeSetup(const E2E& setup, std::vector<E2E>* out) {
 
 /// Refills the replay reservoir with the same documents, so every refresh
 /// replays them (steadiness rule 3), then runs `probes` ADMIT/RETIRE
-/// cycles of pool query kServeProbeQuery on an otherwise idle daemon.
+/// cycles of pool query kServeProbeQuery on an otherwise idle daemon,
+/// recorded in `stretch`.
 void ServeProbes(const DaemonProcess& d, const Inputs& in, Oracle* oracle,
-                 size_t probes, E2E* e) {
+                 size_t probes, size_t stretch, E2E* e) {
   std::string error;
   auto c = Connection::Open(d.socket_path(), &error);
   if (c == nullptr) {
@@ -528,8 +614,8 @@ void ServeProbes(const DaemonProcess& d, const Inputs& in, Oracle* oracle,
   FillReservoir(c.get(), in, oracle, e);
   for (size_t p = 0; p < probes && e->failed == 0; ++p) {
     uint64_t epoch = 0;
-    if (!AdmitCycle(c.get(), in.pool[kServeProbeQuery], e, nullptr, &epoch,
-                    [](uint64_t) { return true; })) {
+    if (!AdmitCycle(c.get(), in.pool[kServeProbeQuery], stretch, e, nullptr,
+                    &epoch, [](uint64_t) { return true; })) {
       return;
     }
   }
@@ -554,7 +640,6 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
   for (size_t w = 0; w < windows.size() && setup.failed == 0; ++w) {
     E2E& e = out[w];
     constexpr size_t kClients = 2;
-    std::vector<E2E> per(kClients);
     std::vector<std::unique_ptr<Connection>> conns;
     std::vector<size_t> next_doc;
     for (size_t c = 0; c < kClients; ++c) {
@@ -564,56 +649,50 @@ std::vector<E2E> RunServe(const Args& a, const Inputs& in,
       next_doc.push_back(c * lines.size() / kClients);
     }
     if (e.failed > 0) break;
-    std::atomic<uint64_t> next_request{1};
+    uint64_t next_request = 1;
+    std::string resp;
+    nw::DocResult got;
     // The SUBMIT traffic pauses after every segment for a burst of
     // ADMIT/RETIRE probes and one spare spawn, so these sample the host
     // all through the run; no SUBMIT is timed while a refresh runs
     // (steadiness rule 2).
     for (size_t seg = 0; seg < kPauses && setup.failed == 0; ++seg) {
+      // The probes of both windows of a traced run share a record, so
+      // each window numbers its stretches apart.
+      const size_t stretch =
+          w * kServeStretches + seg * kServeStretches / kPauses;
       const int64_t start = NowNs();
       const int64_t deadline =
           start + static_cast<int64_t>(window_s / kPauses * 1e9);
-      std::vector<std::thread> clients;
-      for (size_t c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-          E2E& mine = per[c];
-          std::string resp;
-          nw::DocResult got;
-          for (size_t& i = next_doc[c]; NowNs() < deadline;
-               i = (i + 1) % lines.size()) {
-            int64_t rtt;
-            {
-              ScopedSpan span(windows[w], "serve.submit",
-                              next_request.fetch_add(1));
-              rtt = Call(conns[c].get(), lines[i], &resp, &mine);
-            }
-            if (rtt < 0) return;
-            mine.latency_ms.push_back(Ms(rtt));
-            if (!ParseSubmitResponse(resp, &got)) {
-              mine.Check("malformed SUBMIT response");
-              return;
-            }
-            mine.positions += got.positions;
-            ++mine.requests;
-            mine.Check(CompareResult(expected[i], got));
-          }
-        });
+      Work segment{stretch, 0, 0, 0};
+      // The clients take turns, one request in flight at a time
+      // (steadiness rule 5).
+      for (size_t turn = 0; NowNs() < deadline; ++turn) {
+        const size_t c = turn % kClients;
+        const size_t i = next_doc[c];
+        next_doc[c] = (i + 1) % lines.size();
+        int64_t rtt;
+        {
+          ScopedSpan span(windows[w], "serve.submit", next_request++);
+          rtt = Call(conns[c].get(), lines[i], &resp, &e);
+        }
+        if (rtt < 0) break;
+        e.latency_ms.push_back({stretch, Ms(rtt)});
+        if (!ParseSubmitResponse(resp, &got)) {
+          e.Check("malformed SUBMIT response");
+          break;
+        }
+        segment.positions += got.positions;
+        ++segment.requests;
+        e.Check(CompareResult(expected[i], got));
       }
-      for (std::thread& t : clients) t.join();
-      e.window_s += static_cast<double>(NowNs() - start) / 1e9;
-      ServeProbes(*daemon, in, &oracle, kServeProbes / kPauses, &setup);
+      segment.seconds = static_cast<double>(NowNs() - start) / 1e9;
+      e.traffic.push_back(segment);
+      ServeProbes(*daemon, in, &oracle, kServeProbes / kPauses, stretch,
+                  &setup);
       spec.TimeSpareSpawn(&setup);
     }
-    e.stream_s = e.window_s;
-    for (const E2E& p : per) {
-      e.latency_ms.insert(e.latency_ms.end(), p.latency_ms.begin(),
-                          p.latency_ms.end());
-      e.positions += p.positions;
-      e.requests += p.requests;
-      e.attempted += p.attempted;
-      e.failed += p.failed;
-      if (e.failure.empty()) e.failure = p.failure;
-    }
+    e.streaming = e.traffic;
     e.peak_rss_mb = daemon->PeakRssMb();
   }
   if (daemon != nullptr) Shutdown(daemon.get(), &setup);
@@ -647,23 +726,24 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
     const int64_t window_ns = static_cast<int64_t>(window_s * 1e9);
     const int64_t deadline = start + window_ns;
     // A spare spawn between cycles every window/kPauses, starting half an
-    // interval in; the pauses are left out of the window's wall time.
+    // interval in; the pauses are left out of the cycles' wall time.
     int64_t next_pause = start + window_ns / kPauses / 2;
-    int64_t paused_ns = 0;
+    size_t cycles = 0;
     for (size_t cycle = 0; NowNs() < deadline && e.failed == 0; ++cycle) {
       if (NowNs() >= next_pause) {
-        const int64_t t0 = NowNs();
         spec.TimeSpareSpawn(&setup);
         next_pause += window_ns / kPauses;
-        paused_ns += NowNs() - t0;
       }
       ScopedSpan span(spans, "churn.cycle", cycle + 1);
+      const size_t stretch = cycle / kChurnStretchCycles;
+      const int64_t cycle_start = NowNs();
       const std::string& query = in.pool[cycle % in.pool.size()];
       std::vector<std::string> in_force = in.bank;
       in_force.push_back(query);
-      size_t ops_before = e.admit_ms.size();
+      const size_t admits_before = e.admit_ms.size();
+      const size_t submits_before = e.streaming.size();
       uint64_t admit_epoch = 0;
-      AdmitCycle(c.get(), query, &e, spans, &admit_epoch,
+      AdmitCycle(c.get(), query, stretch, &e, spans, &admit_epoch,
                  [&](uint64_t epoch) {
         for (size_t j = 0; j < kChurnDocsPerCycle; ++j) {
           const Doc& d =
@@ -680,10 +760,9 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
             e.Check("malformed SUBMIT response");
             return false;
           }
-          e.latency_ms.push_back(Ms(rtt));
-          e.stream_s += static_cast<double>(rtt) / 1e9;
-          e.positions += got.positions;
-          ++e.requests;
+          e.latency_ms.push_back({stretch, Ms(rtt)});
+          e.streaming.push_back(
+              {stretch, static_cast<double>(rtt) / 1e9, got.positions, 1});
           // The admitted set of the epoch the response names: no older
           // than the ADMIT's epoch, and no RETIRE has been sent yet.
           nw::DocResult want = oracle.Eval(in_force, d);
@@ -696,9 +775,19 @@ std::vector<E2E> RunChurn(const Args& a, const Inputs& in,
         }
         return true;
       });
-      e.requests += (e.admit_ms.size() - ops_before) * 2;
+      // Completed requests: the SUBMITs, and an ADMIT and a RETIRE.
+      e.traffic.push_back(
+          {stretch, static_cast<double>(NowNs() - cycle_start) / 1e9, 0,
+           e.streaming.size() - submits_before +
+               (e.admit_ms.size() - admits_before) * 2});
+      cycles = cycle + 1;
     }
-    e.window_s = static_cast<double>(NowNs() - start - paused_ns) / 1e9;
+    // An unfinished last pass counts only when no pass was finished.
+    const size_t per_pass = in.pool.size() / kChurnStretchCycles;
+    e.admit_stretches = per_pass;
+    if (cycles >= in.pool.size()) {
+      e.stretch_limit = cycles / in.pool.size() * per_pass;
+    }
     e.peak_rss_mb = daemon->PeakRssMb();
   }
   c.reset();
@@ -761,13 +850,29 @@ void PrintE2E(const std::string& label, const E2E& e) {
   std::printf("%s %-18s %12.4f ratio (%zu failed of %zu attempted)\n",
               label.c_str(), "error_rate", error_rate, e.failed, e.attempted);
   std::printf("%s %-18s %12.4f ms (information only, not gated)\n",
-              label.c_str(), "latency_p99_ms", Percentile(e.latency_ms, 0.99));
+              label.c_str(), "latency_p99_ms",
+              Percentile(Values(e.latency_ms), 0.99));
   std::printf("%s samples latency_ms %s\n", label.c_str(),
-              DescribeSamples(e.latency_ms).c_str());
+              DescribeSamples(Values(e.latency_ms)).c_str());
   std::printf("%s samples admit_ms %s\n", label.c_str(),
-              DescribeSamples(e.admit_ms).c_str());
+              DescribeSamples(Values(e.admit_ms)).c_str());
   std::printf("%s samples warm_ms %s\n", label.c_str(),
-              DescribeSamples(e.warm_ms).c_str());
+              DescribeSamples(Values(e.warm_ms)).c_str());
+  // Each stretch's figure, in stretch order: how steady the host was.
+  auto print = [&label](const char* name, const std::vector<double>& v) {
+    std::string line = label + " stretches " + name + ":";
+    char buf[32];
+    for (double x : v) {
+      std::snprintf(buf, sizeof(buf), " %.4g", x);
+      line += buf;
+    }
+    std::printf("%s\n", line.c_str());
+  };
+  const size_t limit = e.stretch_limit;
+  print("latency_ms", StretchMedians(e.latency_ms, limit));
+  print("admit_ms", StretchMedians(e.admit_ms, limit, e.admit_stretches));
+  print("warm_ms", StretchMedians(e.warm_ms, limit));
+  print("req/s", StretchRates(e.traffic, &Work::requests, limit));
   std::vector<double> setup_ms;
   for (double s : e.setup_s) setup_ms.push_back(s * 1000);
   std::printf("%s samples setup_ms %s\n", label.c_str(),
