@@ -8,7 +8,7 @@
 // The frozen-bank hit rate is reported per configuration: the bank is
 // trained by streaming the corpus once single-threaded (the steady state
 // a standing query bank serves traffic in), so hits are the norm and the
-// mutex-guarded overflow path is the exception — the cold-bank row shows
+// shard banks' overflow steps are the exception — the cold-bank row shows
 // what serving looks like before any training.
 #include <benchmark/benchmark.h>
 
@@ -99,7 +99,7 @@ double TimedPass(ServeWorkload* w, const FrozenBank* frozen, size_t threads,
                  ServeStats* stats_out, bool quick) {
   ShardedEvaluator evaluator(frozen, w->alphabet.size(), w->other, threads);
   const int kReps = quick ? 1 : 4;
-  // One untimed rep first: workers and overflow banks are constructed
+  // One untimed rep first: workers and their banks are constructed
   // fresh inside every EvaluateCorpus call, so this warms only the
   // allocator and CPU caches — the timed reps pay the same per-call
   // setup the production path would.

@@ -13,12 +13,6 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
                "a daemon needs at least one initial query (a shared bank "
                "cannot be empty)");
   NW_CHECK_MSG(options_.threads >= 1, "daemon needs at least one thread");
-  // The serving path is frozen snapshots over the shared product; the
-  // bank pass is not optional, and the compile timeline would race the
-  // /metrics renders (admissions record while scrapes read), so it
-  // stays off.
-  options_.opt.bank = true;
-  options_.opt.timeline = nullptr;
 
   for (const std::string& text : initial_queries) {
     Result<Query> q = ParseQuery(text, &alphabet_);
@@ -97,15 +91,18 @@ void DaemonCore::RebuildBankLocked() {
   std::vector<Query> asts;
   asts.reserve(admitted_.size());
   for (const Admitted& a : admitted_) asts.push_back(a.ast);
+  // Every pass, the shared product included: the daemon serves frozen
+  // snapshots of it. No compile timeline, which would race the /metrics
+  // renders (admissions record while scrapes read).
   bank_ = std::make_shared<OptimizedBank>(
-      OptimizeBank(asts, alphabet_.size(), options_.opt));
+      OptimizeBank(asts, alphabet_.size(), OptOptions::All()));
 }
 
 void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
   if (explore) {
     // Replay recent traffic through the live bank first: streaming IS
     // exploration (the memo table interns every tuple the documents
-    // visit), so the tuples the overflow banks kept servicing are
+    // visit), so the tuples the shards' banks kept stepping are
     // promoted into the snapshot even when the capped ExploreAll below
     // cannot finish the full product.
     std::vector<ReplayDoc> replay;
@@ -203,7 +200,7 @@ Result<uint64_t> DaemonCore::Admit(const std::string& query_text) {
   RebuildBankLocked();
   // Cold publication: freezing the unexplored bank snapshots just the
   // initial state, so admission latency is compile-bound. Every step
-  // misses to the overflow banks (correct, slower) until the refresh
+  // misses to the shards' banks (correct, slower) until the refresh
   // nudged below publishes the explored snapshot.
   PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
   daemon_sink_.daemon_admissions.Inc();

@@ -15,13 +15,13 @@
 //   admission — ADMIT parses the query against the master alphabet,
 //     re-runs the optimizer pipeline over the whole bank, and publishes
 //     a COLD epoch (frozen without exploration: the snapshot holds just
-//     the initial state, so every step misses to the overflow banks —
+//     the initial state, so every step misses to the shards' banks —
 //     correct immediately, slow until refreshed). Admission latency is
 //     therefore compile-bound, not exploration-bound.
 //
 //   refresh — a background thread replays a bounded reservoir of recent
 //     documents through the live SharedBank (promoting the tuples real
-//     traffic needs, exactly the ones the overflow banks kept hitting),
+//     traffic needs, exactly the ones the shards' banks kept stepping),
 //     completes with a capped ExploreAll, freezes, and publishes a
 //     refreshed epoch sharing the same bank — so the frozen hit rate
 //     climbs back toward 1.0 after every admission, with zero reader
@@ -67,9 +67,6 @@ struct DaemonOptions {
   size_t threads = 1;
   /// Front end assumed for SUBMITs that carry no format tag.
   InputFormat default_format = InputFormat::kXml;
-  /// Optimizer passes for every (re)compile; bank is forced on — the
-  /// daemon serves frozen snapshots, which need the shared product.
-  OptOptions opt = OptOptions::All();
   /// ExploreAll state cap for the refresh pass (the nwquery freeze cap's
   /// daemon twin; a bank that trips it serves the partial snapshot).
   size_t refresh_cap = 1u << 16;
@@ -92,7 +89,7 @@ struct DaemonEpoch {
   /// Normal-form query texts, parallel to qids.
   std::vector<std::string> query_texts;
   /// Owns the compiled NWAs and the live SharedBank the frozen snapshot
-  /// (and every overflow bank) aliases into.
+  /// (and every shard's bank) aliases into.
   std::shared_ptr<OptimizedBank> bank;
   /// The immutable snapshot this epoch serves — the RCU unit.
   std::shared_ptr<const FrozenBank> frozen;

@@ -18,8 +18,6 @@
 //                     and /healthz on 127.0.0.1:PORT; 0 picks an
 //                     ephemeral port, printed on the ready line
 //   --threads N       shard workers per document batch (default 1)
-//   --opt LEVEL       optimizer level: bank | all (default all; levels
-//                     without the shared bank cannot serve frozen)
 //   --format F        default format for SUBMITs without a tag:
 //                     xml (default) | json | trace
 //   --refresh-cap N   ExploreAll state cap for epoch refreshes
@@ -43,7 +41,6 @@
 #include "daemon/daemon.h"
 #include "daemon/server.h"
 #include "obs/pulse.h"
-#include "opt/pipeline.h"
 #include "stream/token_stream.h"
 
 namespace {
@@ -55,7 +52,6 @@ struct Flags {
   std::string query_file;
   int http_port = -1;
   DaemonOptions daemon;
-  std::string opt_level = "all";
   uint64_t stats_interval_ms = 0;
   std::string pulse_file;
 };
@@ -63,7 +59,7 @@ struct Flags {
 int Usage() {
   std::fprintf(stderr,
                "usage: nwqueryd --socket PATH --queries FILE "
-               "[--http PORT] [--threads N] [--opt bank|all] "
+               "[--http PORT] [--threads N] "
                "[--format xml|json|trace] [--refresh-cap N] "
                "[--stats-interval MS] [--pulse-file F]\n");
   return 2;
@@ -124,23 +120,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
       flags->daemon.threads = v;
-    } else if (name == "--opt") {
-      if (!take()) return false;
-      if (!ParseOptLevel(value, &flags->daemon.opt)) {
-        std::fprintf(stderr,
-                     "nwqueryd: unknown --opt level '%s' (want none, "
-                     "rewrite, min, bank, or all)\n",
-                     value.c_str());
-        return false;
-      }
-      if (!flags->daemon.opt.bank) {
-        std::fprintf(stderr,
-                     "nwqueryd: --opt %s cannot serve frozen snapshots; "
-                     "use bank or all\n",
-                     value.c_str());
-        return false;
-      }
-      flags->opt_level = value;
     } else if (name == "--format") {
       if (!take()) return false;
       if (!ParseInputFormat(value, &flags->daemon.default_format)) {

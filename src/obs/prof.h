@@ -38,14 +38,14 @@ struct QueryProfile {
   Counter match_docs;
   /// Accept-set membership observations: one per stream position at
   /// which the query was observed accepting, plus the pre-input check
-  /// (a query may accept the empty prefix). Identical across the SoA,
-  /// shared-bank, and frozen execution paths — the differential tests
+  /// (a query may accept the empty prefix). Identical on the SoA and
+  /// product paths, with or without a snapshot — the differential tests
   /// pin this. Requires the engine's match tracking; 0 otherwise.
   Counter accept_positions;
-  /// Overflow escalations (steps whose result stayed in overflow space)
-  /// attributed to this query: the query's run was still live in the
-  /// escalated state, so IT is among the queries keeping the shard off
-  /// the lock-free path.
+  /// Overflow escalations (steps of a bank extending a snapshot that
+  /// ended on a state the bank owns) attributed to this query: the
+  /// query's run was still live in the escalated state, so IT is among
+  /// the queries keeping the shard off the lock-free path.
   Counter escalations;
   /// Automaton states straight out of lowering (before minimization).
   Gauge states_compiled;

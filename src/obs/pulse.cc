@@ -21,14 +21,19 @@ namespace nw {
 // Process sample
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// t=0 of PulseNowUs, fixed when the program loads, so a reading is time
+// since process start no matter which caller asks first.
+const std::chrono::steady_clock::time_point kProcessEpoch =
+    std::chrono::steady_clock::now();
+
+}  // namespace
+
 uint64_t PulseNowUs() {
-  // First call fixes t=0; the CLI touches the clock at startup, so in
-  // practice this is microseconds since process start.
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch)
+          std::chrono::steady_clock::now() - kProcessEpoch)
           .count());
 }
 

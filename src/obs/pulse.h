@@ -48,8 +48,8 @@
 namespace nw {
 
 /// Process-level machine context: peak RSS and user/sys CPU from
-/// getrusage(RUSAGE_SELF), wall time since the process epoch (first use
-/// of this library's clock). Zeros on platforms without rusage.
+/// getrusage(RUSAGE_SELF), wall time since the process epoch (program
+/// load). Zeros on platforms without rusage.
 struct ProcessSample {
   uint64_t rss_peak_kb = 0;
   uint64_t cpu_user_us = 0;
@@ -63,7 +63,7 @@ struct ProcessSample {
 ProcessSample SampleProcess();
 
 /// Microseconds since the process epoch — the pulse records' shared
-/// clock (first call wins as t=0; call order makes it ~process start).
+/// clock, whose t=0 is fixed when the program loads.
 uint64_t PulseNowUs();
 
 /// Immutable capture of one Histogram: the full bucket vector plus the

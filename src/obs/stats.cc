@@ -44,13 +44,13 @@ const std::vector<SinkCounterField>& SinkCounterFields() {
        &StatsSink::bank_memo_misses},
       {"frozen_hits", "steps answered lock-free by the snapshot",
        &StatsSink::frozen_hits},
-      {"frozen_misses", "steps that took the overflow mutex",
+      {"frozen_misses", "steps the snapshot missed (the bank took them)",
        &StatsSink::frozen_misses},
-      {"overflow_steps", "steps serviced by the overflow bank",
+      {"overflow_steps", "steps of a bank extending a snapshot",
        &StatsSink::overflow_steps},
-      {"overflow_escalations", "overflow steps stuck in overflow space",
+      {"overflow_escalations", "overflow steps landing on a bank-owned state",
        &StatsSink::overflow_escalations},
-      {"overflow_mapbacks", "overflow steps mapped back to frozen",
+      {"overflow_mapbacks", "overflow steps landing back on a snapshot state",
        &StatsSink::overflow_mapbacks},
       {"shard_docs", "documents this shard pulled off the cursor",
        &StatsSink::shard_docs},

@@ -56,12 +56,12 @@ struct StatsSink {
   Counter bank_memo_hits;    ///< steps answered by the memo table
   Counter bank_memo_misses;  ///< steps that ran the K component automata
 
-  // -- serve layer: frozen-path engines, OverflowBank, ShardedEvaluator.
+  // -- serve layer: snapshot-backed engines and banks, ShardedEvaluator.
   Counter frozen_hits;    ///< steps answered lock-free by the snapshot
-  Counter frozen_misses;  ///< steps that took the overflow mutex
-  Counter overflow_steps;          ///< steps serviced by the overflow bank
-  Counter overflow_escalations;    ///< overflow steps stuck in overflow space
-  Counter overflow_mapbacks;       ///< overflow steps mapped back to frozen
+  Counter frozen_misses;  ///< steps the snapshot missed (the bank took them)
+  Counter overflow_steps;        ///< steps of a bank extending a snapshot
+  Counter overflow_escalations;  ///< those landing on a bank-owned state
+  Counter overflow_mapbacks;     ///< those landing back on a snapshot state
   Counter shard_docs;       ///< documents this shard pulled off the cursor
   Counter shard_bytes;      ///< bytes of those documents (skew witness)
   Counter shard_positions;  ///< positions this shard stepped

@@ -17,6 +17,14 @@
 // the reachable product is small. A hard state cap turns pathological
 // blow-ups into a loud failure instead of an OOM; callers can always fall
 // back to the per-query SoA path.
+//
+// A bank may also extend an immutable FrozenBank snapshot
+// (serve/frozen_bank.h). Ids below the snapshot's num_states() then name
+// snapshot states, and the bank numbers the states it interns from there.
+// Interning asks the snapshot first, so a step that lands on a snapshot
+// tuple returns the snapshot's id and a serving engine is back on the
+// snapshot's lock-free tables. Steps taken from snapshot states memoize
+// sparsely: the snapshot itself is never copied.
 #ifndef NW_OPT_BANK_H_
 #define NW_OPT_BANK_H_
 
@@ -28,11 +36,14 @@
 
 namespace nw {
 
-// The NWStats sink (obs/stats.h) and the NWProf timeline (obs/prof.h)
-// are held by pointer only, so the opt layer's header stays free of
-// observability includes.
+// The NWStats sink (obs/stats.h), the NWProf timeline and attribution
+// table (obs/prof.h) and the snapshot a bank may extend
+// (serve/frozen_bank.h) are held by pointer only, so the opt layer's
+// header stays free of observability and serving includes.
 struct StatsSink;
 class CompileTimeline;
+class QueryAttribution;
+class FrozenBank;
 
 class SharedBank {
  public:
@@ -40,27 +51,49 @@ class SharedBank {
   /// The pointees must outlive the bank. At least one automaton.
   explicit SharedBank(std::vector<const Nwa*> autos);
 
+  /// A bank that extends `frozen` over the snapshot's own automata. The
+  /// bank owns only the states the snapshot lacks: a serving shard's
+  /// private space for the steps the snapshot never saw. `frozen` (and
+  /// its automata) must outlive the bank.
+  explicit SharedBank(const FrozenBank* frozen);
+
   /// Number of component query automata K.
   size_t num_queries() const { return autos_.size(); }
   /// Size of the shared symbol space Σ.
   size_t num_symbols() const { return num_symbols_; }
-  /// Interned tuple of the component initial states.
+  /// Interned tuple of the component initial states (the snapshot's id
+  /// for it when the bank extends one).
   StateId initial() const { return initial_; }
-  /// Product states materialized so far (grows as streams explore).
-  size_t num_states() const { return live_.size(); }
+  /// Product state ids in use: the snapshot's, then the bank's own.
+  size_t num_states() const { return base_ + live_.size(); }
+  /// The snapshot this bank extends, or nullptr.
+  const FrozenBank* frozen() const { return frozen_; }
+  /// First id the bank owns: the snapshot's state count, 0 without one.
+  StateId first_own_state() const { return base_; }
 
   /// Attaches an NWStats sink (obs/stats.h): the bank then counts interned
-  /// product states and memo hits/misses per step. `sink` must outlive the
-  /// bank and be single-writer — banks are already confined to one thread
-  /// (they memoize while streaming), so the engine's own sink is the
-  /// natural choice. Off (nullptr) by default: the disabled path is one
-  /// branch on a pointer constant for the stream.
+  /// product states and memo hits/misses per step. A bank that extends a
+  /// snapshot counts its steps instead: each into overflow_steps, and its
+  /// outcome into overflow_mapbacks (it landed on a snapshot state) or
+  /// overflow_escalations (on a state the bank owns). `sink` must outlive
+  /// the bank and be single-writer — banks are already confined to one
+  /// thread (they memoize while streaming), so the engine's own sink is
+  /// the natural choice. Off (nullptr) by default: the disabled path is
+  /// one branch on a pointer constant for the stream.
   void set_stats(StatsSink* sink) { stats_ = sink; }
 
+  /// Attaches an NWProf attribution table (obs/prof.h) to a bank that
+  /// extends a snapshot: every escalation then increments the escalations
+  /// counter of each query whose run is still live in the escalated
+  /// state — those queries are what keeps the stream off the snapshot.
+  /// Same single-writer discipline as the sink. Off by default.
+  void set_attribution(QueryAttribution* attr);
+
   // -- Stepping. Mirrors the Nwa single-position step API, but states are
-  // product-tuple ids and the methods memoize (hence non-const). A dead
-  // component parks kNoState in its tuple slot; the all-dead tuple is a
-  // regular absorbing state, so these never return kNoState.
+  // product-tuple ids (snapshot or own) and the methods memoize (hence
+  // non-const). A dead component parks kNoState in its tuple slot; the
+  // all-dead tuple is a regular absorbing state, so these never return
+  // kNoState.
 
   /// Internal position: memoized product δi.
   StateId StepInternal(StateId q, Symbol a);
@@ -72,8 +105,8 @@ class SharedBank {
   StateId StepReturn(StateId q, StateId hier, Symbol a);
 
   // -- Exploration + freeze API (serve/frozen_bank.h). The serving layer
-  // pre-explores the product, snapshots it into an immutable FrozenBank,
-  // and keeps per-shard SharedBanks as mutable overflow space. --
+  // pre-explores the product and snapshots it into an immutable
+  // FrozenBank; a bank that extends a snapshot is refused by both. --
 
   /// Drives the lazy product to a fixed point over the whole alphabet:
   /// every (state, symbol) internal and call step, and every return step
@@ -82,36 +115,50 @@ class SharedBank {
   /// memoized. Afterwards a frozen snapshot cannot miss on any stream
   /// whose symbols are in range. Stops early and returns false if the
   /// closure would exceed `max_states` (the partial exploration is kept;
-  /// a snapshot then serves what was reached and overflows the rest).
+  /// a snapshot then serves what was reached and the banks that extend it
+  /// step the rest).
   /// With a timeline (obs/prof.h) the call records one "explore" phase:
   /// wall µs plus the product state count before and after.
   bool ExploreAll(size_t max_states, CompileTimeline* timeline = nullptr);
 
-  /// Interns an externally supplied component tuple (one StateId per
-  /// query, kNoState = dead run) and returns its product id. Used by the
-  /// overflow path to transplant a frozen state into a fresh bank.
-  StateId InternTuple(const std::vector<StateId>& tuple);
-
   /// The component automata, in query order (aliases, not owned).
   const std::vector<const Nwa*>& autos() const { return autos_; }
+
+  // -- Per-state facts of the states the bank owns (q >=
+  // first_own_state()), computed once at interning time. A snapshot's
+  // states answer these from the FrozenBank itself. --
 
   /// Pointer to the K component states of tuple `q` (valid until the next
   /// interning mutation).
   const StateId* tuple(StateId q) const {
-    return tuples_.data() + q * autos_.size();
+    return tuples_.data() + (q - base_) * autos_.size();
   }
+  /// Accept bitset: bit (w*64+b) of word w = query (w*64+b) accepting.
+  const uint64_t* accepts(StateId q) const {
+    return accept_.data() + (q - base_) * words_;
+  }
+  /// Words per accept bitset (= ceil(num_queries / 64)).
+  size_t accept_words() const { return words_; }
+  /// Is component query `id` accepting in product state `q`?
+  bool accepting(StateId q, size_t id) const {
+    return (accepts(q)[id / 64] >> (id % 64)) & 1;
+  }
+  /// Number of still-live component runs in state `q`.
+  size_t live(StateId q) const { return live_[q - base_]; }
+  /// Component query `id`'s state in tuple `q` (kNoState = that run died).
+  StateId component(StateId q, size_t id) const { return tuple(q)[id]; }
 
   // Non-mutating memo lookups, kNoState = that step was never taken.
   // These are what FrozenBank::Freeze snapshots.
 
   StateId PeekInternal(StateId q, Symbol a) const {
-    return internal_[q * num_symbols_ + a];
+    return rows_[q * num_symbols_ + a].internal;
   }
   StateId PeekCallLinear(StateId q, Symbol a) const {
-    return call_lin_[q * num_symbols_ + a];
+    return rows_[q * num_symbols_ + a].call_lin;
   }
   StateId PeekCallHier(StateId q, Symbol a) const {
-    return call_hier_[q * num_symbols_ + a];
+    return rows_[q * num_symbols_ + a].call_hier;
   }
 
   /// FNV-1a over a K-component span — the interning hash. Shared with
@@ -135,51 +182,56 @@ class SharedBank {
   /// Every memoized return transition, in unspecified order.
   std::vector<MemoReturn> MemoizedReturns() const;
 
-  // -- Per-state facts, computed once at interning time. --
-
-  /// Accept bitset: bit (w*64+b) of word w = query (w*64+b) accepting.
-  const uint64_t* accepts(StateId q) const {
-    return accept_.data() + q * words_;
-  }
-  /// Words per accept bitset (= ceil(num_queries / 64)).
-  size_t accept_words() const { return words_; }
-  /// Is component query `id` accepting in product state `q`?
-  bool accepting(StateId q, size_t id) const {
-    return (accepts(q)[id / 64] >> (id % 64)) & 1;
-  }
-  /// Number of still-live component runs in state `q`.
-  size_t live(StateId q) const { return live_[q]; }
-  /// Component query `id`'s state in tuple `q` (kNoState = that run died).
-  StateId component(StateId q, size_t id) const {
-    return tuples_[q * autos_.size() + id];
-  }
-
  private:
   /// Interned product ids must fit the 24-bit return-key packing, with the
   /// top value reserved for "pending" frames.
   static constexpr StateId kMaxStates = (1u << 24) - 1;
 
+  /// Memoized δi and δc of one (state, symbol); kNoState = not computed
+  /// yet (a computed result is always a valid id, never kNoState).
+  struct Row {
+    StateId internal = kNoState;
+    StateId call_lin = kNoState;
+    StateId call_hier = kNoState;
+  };
+
+  SharedBank(std::vector<const Nwa*> autos, const FrozenBank* frozen);
+
   StateId Intern(const std::vector<StateId>& tuple);
+  /// Component states of any id, the snapshot's tuple for its states.
+  const StateId* Components(StateId q) const;
+  /// The memo row of (q, a): dense for own states, sparse for snapshot
+  /// states. The reference dies with the next Intern.
+  Row& MemoRow(StateId q, Symbol a);
+  /// NWStats/NWProf tally of one step whose (linear) result is `result`
+  /// (see set_stats); returns `result`.
+  StateId Counted(bool memo_hit, StateId result);
   /// ExploreAll's fixed-point loop, split out so the public entry can
   /// clock it as one NWProf phase.
   bool ExploreFixpoint(size_t max_states);
 
   std::vector<const Nwa*> autos_;
+  /// The snapshot this bank extends (nullptr: none), and its state count,
+  /// which is the bank's first own id.
+  const FrozenBank* frozen_;
+  StateId base_;
   size_t num_symbols_;
   size_t words_;
   StateId initial_;
+  // Own states, indexed by id - base_.
   std::vector<StateId> tuples_;  ///< K components per state, state-major
   std::unordered_map<uint64_t, std::vector<StateId>> buckets_;
   std::vector<uint64_t> accept_;
   std::vector<uint32_t> live_;
-  // Memoized transitions; kNoState = not computed yet (a computed result
-  // is always a valid interned id, never kNoState).
-  std::vector<StateId> internal_;   // [q*|Σ|+a]
-  std::vector<StateId> call_lin_;   // [q*|Σ|+a]
-  std::vector<StateId> call_hier_;  // [q*|Σ|+a]
-  std::unordered_map<uint64_t, StateId> returns_;
+  std::vector<Row> rows_;  ///< [(q-base_)*|Σ|+a]
+  /// Memo rows of snapshot states, keyed q*|Σ|+a: only the steps the
+  /// snapshot missed ever land here.
+  std::unordered_map<uint64_t, Row> snapshot_rows_;
+  std::unordered_map<uint64_t, StateId> returns_;  ///< any ids
   /// NWStats sink, or nullptr when observability is off (see set_stats).
   StatsSink* stats_ = nullptr;
+  /// NWProf attribution table, or nullptr (see set_attribution).
+  QueryAttribution* attr_ = nullptr;
 };
 
 /// Convenience spelling of the tentpole API: compiles the bank of

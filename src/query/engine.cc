@@ -37,12 +37,12 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
     stats_->engine_docs.Inc();
     stats_->engine_positions.Add(doc_positions);
     stats_->doc_latency_us.Record(latency_us);
-    if (frozen_ != nullptr) {
-      stats_->engine_docs_frozen.Inc();
-    } else if (bank_ != nullptr) {
-      stats_->engine_docs_bank.Inc();
-    } else {
+    if (bank_ == nullptr) {
       stats_->engine_docs_soa.Inc();
+    } else if (frozen_ != nullptr) {
+      stats_->engine_docs_frozen.Inc();
+    } else {
+      stats_->engine_docs_bank.Inc();
     }
   }
   if (attr_ != nullptr) {
@@ -57,37 +57,36 @@ void QueryEngine::RecordDocStats(uint64_t latency_us, size_t doc_positions,
 }
 
 size_t QueryEngine::num_queries() const {
-  if (frozen_ != nullptr) return frozen_->num_queries();
   return bank_ != nullptr ? bank_->num_queries() : autos_.size();
 }
 
+size_t QueryEngine::ProductLive() const {
+  return InSnapshot() ? frozen_->live(bank_state_) : bank_->live(bank_state_);
+}
+
+const uint64_t* QueryEngine::ProductAccepts() const {
+  return InSnapshot() ? frozen_->accepts(bank_state_)
+                      : bank_->accepts(bank_state_);
+}
+
 bool QueryEngine::Accepting(size_t id) const {
-  if (frozen_ != nullptr) {
-    if (OverflowBank::IsOverflowId(bank_state_)) {
-      return overflow_->accepting(bank_state_, id);
-    }
-    return frozen_->accepting(bank_state_, id);
+  if (bank_ == nullptr) {
+    return state_[id] != kNoState && autos_[id]->is_final(state_[id]);
   }
-  if (bank_ != nullptr) return bank_->accepting(bank_state_, id);
-  return state_[id] != kNoState && autos_[id]->is_final(state_[id]);
+  return (ProductAccepts()[id / 64] >> (id % 64)) & 1;
 }
 
 bool QueryEngine::dead(size_t id) const {
-  if (frozen_ != nullptr) {
-    if (OverflowBank::IsOverflowId(bank_state_)) {
-      return overflow_->component(bank_state_, id) == kNoState;
-    }
-    return frozen_->component(bank_state_, id) == kNoState;
-  }
-  if (bank_ != nullptr) return bank_->component(bank_state_, id) == kNoState;
-  return state_[id] == kNoState;
+  if (bank_ == nullptr) return state_[id] == kNoState;
+  StateId c = InSnapshot() ? frozen_->component(bank_state_, id)
+                           : bank_->component(bank_state_, id);
+  return c == kNoState;
 }
 
 size_t QueryEngine::Add(const Nwa* a) {
-  NW_CHECK_MSG(bank_ == nullptr && frozen_ == nullptr,
-               "Add(), AddBank(), and AddFrozen() are mutually exclusive: "
-               "the engine steps K automata, one shared product, or one "
-               "frozen snapshot");
+  NW_CHECK_MSG(bank_ == nullptr,
+               "Add() and AddBank()/AddFrozen() are mutually exclusive: "
+               "the engine steps K automata or one shared product");
   NW_CHECK_MSG(a->num_symbols() == num_symbols_,
                "query automaton symbol space mismatch");
   // Discard frames a previous stream left pending (unclosed opens are
@@ -101,32 +100,24 @@ size_t QueryEngine::Add(const Nwa* a) {
 }
 
 void QueryEngine::AddBank(SharedBank* bank) {
-  NW_CHECK_MSG(autos_.empty() && bank_ == nullptr && frozen_ == nullptr,
+  NW_CHECK_MSG(autos_.empty() && bank_ == nullptr,
                "AddBank() needs a fresh engine: no Add()ed automata and "
-               "no previous bank or frozen snapshot");
+               "no previous bank");
   NW_CHECK_MSG(bank->num_symbols() == num_symbols_,
                "shared bank symbol space mismatch");
   stack_.clear();
   bank_ = bank;
+  frozen_ = bank->frozen();
+  snapshot_states_ = bank->first_own_state();
   bank_state_ = bank_->initial();
-  live_ = bank_->live(bank_state_);
+  live_ = ProductLive();
 }
 
-void QueryEngine::AddFrozen(const FrozenBank* frozen,
-                            OverflowBank* overflow) {
-  NW_CHECK_MSG(autos_.empty() && bank_ == nullptr && frozen_ == nullptr,
-               "AddFrozen() needs a fresh engine: no Add()ed automata and "
-               "no previous bank or frozen snapshot");
-  NW_CHECK_MSG(frozen->num_symbols() == num_symbols_,
-               "frozen bank symbol space mismatch");
-  NW_CHECK_MSG(overflow != nullptr && overflow->frozen() == frozen,
-               "the overflow bank must be built over the same frozen "
-               "snapshot the engine steps");
-  stack_.clear();
-  frozen_ = frozen;
-  overflow_ = overflow;
-  bank_state_ = frozen_->initial();
-  live_ = frozen_->live(bank_state_);
+void QueryEngine::AddFrozen(const FrozenBank* frozen, SharedBank* bank) {
+  NW_CHECK_MSG(bank != nullptr && bank->frozen() == frozen,
+               "AddFrozen() needs a bank that extends the same snapshot: "
+               "build it as SharedBank(frozen)");
+  AddBank(bank);
 }
 
 void QueryEngine::set_other_symbol(Symbol s) {
@@ -138,12 +129,9 @@ void QueryEngine::set_other_symbol(Symbol s) {
 }
 
 void QueryEngine::BeginStream() {
-  if (frozen_ != nullptr) {
-    bank_state_ = frozen_->initial();
-    live_ = frozen_->live(bank_state_);
-  } else if (bank_ != nullptr) {
+  if (bank_ != nullptr) {
     bank_state_ = bank_->initial();
-    live_ = bank_->live(bank_state_);
+    live_ = ProductLive();
   } else {
     live_ = 0;
     for (size_t i = 0; i < autos_.size(); ++i) {
@@ -158,10 +146,6 @@ void QueryEngine::BeginStream() {
   if (track_matches_) {
     first_match_.assign(num_queries(), -1);
     if (bank_ != nullptr) seen_accepts_.assign(bank_->accept_words(), 0);
-    if (frozen_ != nullptr) {
-      seen_accepts_.assign(frozen_->accept_words(), 0);
-      scratch_accepts_.assign(frozen_->accept_words(), 0);
-    }
     LatchMatches();  // a query may accept the empty prefix (position 0)
   }
 }
@@ -170,7 +154,7 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
   ++positions_;
   ++stream_pos_;
   const size_t k = autos_.size();
-  if (bank_ == nullptr && frozen_ == nullptr && k == 0) return 0;
+  if (bank_ == nullptr && k == 0) return 0;
   Symbol s = t.symbol;
   if (s >= num_symbols_) {
     NW_CHECK_MSG(other_ != Alphabet::kNoSymbol,
@@ -179,17 +163,25 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
                  s);
     s = other_;
   }
-  if (frozen_ != nullptr) return FeedFrozen(t.kind, s);
   if (bank_ != nullptr) {
-    // Shared-bank path: ONE step and (per call) ONE pushed StateId for
-    // the whole bank, regardless of K.
+    // Product path: ONE step and (per call) ONE pushed StateId for the
+    // whole bank, regardless of K. A snapshot state first tries the
+    // snapshot's lock-free tables; whatever they do not cover (and every
+    // state the bank owns) steps the bank.
+    const bool in_snapshot = InSnapshot();
+    StateId next = kNoState;
     switch (t.kind) {
       case Kind::kInternal:
-        bank_state_ = bank_->StepInternal(bank_state_, s);
+        if (in_snapshot) next = frozen_->Internal(bank_state_, s);
+        if (Missed(next)) next = bank_->StepInternal(bank_state_, s);
         break;
       case Kind::kCall: {
-        StateId h;
-        bank_state_ = bank_->StepCall(bank_state_, s, &h);
+        StateId h = kNoState;
+        if (in_snapshot) {
+          next = frozen_->CallLinear(bank_state_, s);
+          h = frozen_->CallHier(bank_state_, s);
+        }
+        if (Missed(next)) next = bank_->StepCall(bank_state_, s, &h);
         stack_.push_back(h);
         if (stack_.size() > max_frames_) max_frames_ = stack_.size();
         break;
@@ -200,11 +192,14 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
           h = stack_.back();
           stack_.pop_back();
         }
-        bank_state_ = bank_->StepReturn(bank_state_, h, s);
+        // A frame the bank owns is in no snapshot row: that lookup misses.
+        if (in_snapshot) next = frozen_->Return(bank_state_, h, s);
+        if (Missed(next)) next = bank_->StepReturn(bank_state_, h, s);
         break;
       }
     }
-    live_ = bank_->live(bank_state_);
+    bank_state_ = next;
+    live_ = ProductLive();
     if (track_matches_) LatchMatches();
     return live_;
   }
@@ -250,106 +245,30 @@ size_t QueryEngine::Feed(TaggedSymbol t) {
   return live_;
 }
 
-size_t QueryEngine::FeedFrozen(Kind kind, Symbol s) {
-  // Fast path: the current state is frozen and the snapshot covers the
-  // step — a lock-free table read. Any other case (state already in
-  // overflow space, or a snapshot miss) routes through the mutex-guarded
-  // overflow bank, which maps back into frozen space when it can.
-  const bool from_frozen = !OverflowBank::IsOverflowId(bank_state_);
-  switch (kind) {
-    case Kind::kInternal: {
-      StateId next = from_frozen ? frozen_->Internal(bank_state_, s)
-                                 : kNoState;
-      if (next != kNoState) {
-        stats_->frozen_hits.Inc();
-      } else {
-        stats_->frozen_misses.Inc();
-        next = overflow_->StepInternal(bank_state_, s);
-      }
-      bank_state_ = next;
-      break;
-    }
-    case Kind::kCall: {
-      StateId lin = kNoState, h = kNoState;
-      if (from_frozen) {
-        lin = frozen_->CallLinear(bank_state_, s);
-        h = frozen_->CallHier(bank_state_, s);
-      }
-      if (lin != kNoState) {
-        stats_->frozen_hits.Inc();
-      } else {
-        stats_->frozen_misses.Inc();
-        lin = overflow_->StepCall(bank_state_, s, &h);
-      }
-      stack_.push_back(h);
-      if (stack_.size() > max_frames_) max_frames_ = stack_.size();
-      bank_state_ = lin;
-      break;
-    }
-    case Kind::kReturn: {
-      StateId h = kNoState;  // pending return: components read P0
-      if (!stack_.empty()) {
-        h = stack_.back();
-        stack_.pop_back();
-      }
-      StateId next = kNoState;
-      if (from_frozen && (h == kNoState || !OverflowBank::IsOverflowId(h))) {
-        next = frozen_->Return(bank_state_, h, s);
-      }
-      if (next != kNoState) {
-        stats_->frozen_hits.Inc();
-      } else {
-        stats_->frozen_misses.Inc();
-        next = overflow_->StepReturn(bank_state_, h, s);
-      }
-      bank_state_ = next;
-      break;
-    }
-  }
-  live_ = OverflowBank::IsOverflowId(bank_state_)
-              ? overflow_->live(bank_state_)
-              : frozen_->live(bank_state_);
-  if (track_matches_) LatchMatches();
-  return live_;
-}
-
-void QueryEngine::LatchFromWords(const uint64_t* acc, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if (attr_ != nullptr) {
-      // NWProf accept tally: every set bit is one "query observed
-      // accepting at this position" event (the word-parallel twin of the
-      // SoA path's per-query Accepting scan below).
-      uint64_t bits = acc[w];
-      while (bits != 0) {
-        size_t bit = static_cast<size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        attr_->query(w * 64 + bit).accept_positions.Inc();
-      }
-    }
-    uint64_t fresh = acc[w] & ~seen_accepts_[w];
-    seen_accepts_[w] |= acc[w];
-    while (fresh != 0) {
-      size_t bit = static_cast<size_t>(__builtin_ctzll(fresh));
-      fresh &= fresh - 1;
-      first_match_[w * 64 + bit] = static_cast<int64_t>(stream_pos_);
-    }
-  }
-}
-
 void QueryEngine::LatchMatches() {
-  if (frozen_ != nullptr) {
-    const uint64_t* acc;
-    if (OverflowBank::IsOverflowId(bank_state_)) {
-      overflow_->CopyAccepts(bank_state_, scratch_accepts_.data());
-      acc = scratch_accepts_.data();
-    } else {
-      acc = frozen_->accepts(bank_state_);
-    }
-    LatchFromWords(acc, frozen_->accept_words());
-    return;
-  }
   if (bank_ != nullptr) {
-    LatchFromWords(bank_->accepts(bank_state_), bank_->accept_words());
+    // Word-parallel accept diffing over the product state's bitset.
+    const uint64_t* acc = ProductAccepts();
+    for (size_t w = 0; w < seen_accepts_.size(); ++w) {
+      if (attr_ != nullptr) {
+        // NWProf accept tally: every set bit is one "query observed
+        // accepting at this position" event (the word-parallel twin of
+        // the SoA path's per-query Accepting scan below).
+        uint64_t bits = acc[w];
+        while (bits != 0) {
+          size_t bit = static_cast<size_t>(__builtin_ctzll(bits));
+          bits &= bits - 1;
+          attr_->query(w * 64 + bit).accept_positions.Inc();
+        }
+      }
+      uint64_t fresh = acc[w] & ~seen_accepts_[w];
+      seen_accepts_[w] |= acc[w];
+      while (fresh != 0) {
+        size_t bit = static_cast<size_t>(__builtin_ctzll(fresh));
+        fresh &= fresh - 1;
+        first_match_[w * 64 + bit] = static_cast<int64_t>(stream_pos_);
+      }
+    }
     return;
   }
   for (size_t i = 0; i < autos_.size(); ++i) {

@@ -8,18 +8,18 @@
 //    contiguously. K queries cost one stream traversal instead of K, and
 //    the resident run state is K·(depth+1) StateIds — the paper's §3.2
 //    depth-bounded-memory guarantee, amortized across the query bank.
-//  * Shared-bank path (AddBank): the optimizer's product automaton
+//    The test suites keep it as the oracle for the product path.
+//  * Product path (AddBank, AddFrozen): the optimizer's product automaton
 //    (opt/bank.h) collapses the whole bank into ONE state machine, so per
 //    position the engine steps a single transition table and pushes a
 //    single StateId per call frame — per-position work and resident state
 //    become independent of K. Per-query acceptance reads the product
-//    state's accept bitset.
-//  * Frozen path (AddFrozen): the serving layer's immutable snapshot of a
-//    pre-explored shared bank (serve/frozen_bank.h). Steps covered by the
-//    snapshot are lock-free table reads safe under any number of threads
-//    (each with its own engine); a miss routes to the engine's mutex-
-//    guarded OverflowBank so coverage gaps degrade throughput, never
-//    correctness. hit/miss counters feed the serving stats.
+//    state's accept bitset. When the bank extends an immutable snapshot
+//    (serve/frozen_bank.h), a step from a snapshot state first reads the
+//    snapshot's tables lock-free — safe under any number of threads, each
+//    with its own engine and bank — and only what the snapshot does not
+//    cover steps the bank, so coverage gaps cost throughput, never
+//    correctness. Frozen hit/miss counters feed the serving stats.
 //
 // An optional match-position tap records, per query, the number of stream
 // positions consumed when the query was first observed accepting — the
@@ -44,7 +44,6 @@ namespace nw {
 // includes.
 class SharedBank;
 class FrozenBank;
-class OverflowBank;
 
 class QueryEngine {
  public:
@@ -60,20 +59,19 @@ class QueryEngine {
   size_t Add(const Nwa* a);
 
   /// Registers a shared-bank product automaton compiled from the whole
-  /// query bank (opt/bank.h); the engine then takes the shared-step path.
+  /// query bank (opt/bank.h); the engine then takes the product path.
   /// `bank` must outlive the engine and is mutated while streaming (its
-  /// transitions memoize on first use). Mutually exclusive with Add(),
+  /// transitions memoize on first use), so it is confined to this
+  /// engine's thread. If the bank extends a snapshot, the engine reads
+  /// the snapshot first (see AddFrozen). Mutually exclusive with Add(),
   /// and at most one bank.
   void AddBank(SharedBank* bank);
 
-  /// Registers a frozen snapshot of a pre-explored shared bank plus the
-  /// overflow bank to route snapshot misses to (serve/frozen_bank.h).
-  /// `frozen` is immutable and may back any number of engines
-  /// concurrently; `overflow` must have been built over the same
-  /// `frozen`, is mutated while streaming, and should be private to this
-  /// engine's shard (its mutex makes sharing safe, merely slow). Both
-  /// must outlive the engine. Mutually exclusive with Add()/AddBank().
-  void AddFrozen(const FrozenBank* frozen, OverflowBank* overflow);
+  /// AddBank() for a bank built as SharedBank(frozen): checks that `bank`
+  /// extends `frozen` (serve/frozen_bank.h), then registers it. `frozen`
+  /// is immutable and may back any number of engines concurrently; each
+  /// engine needs its own bank. Both must outlive the engine.
+  void AddFrozen(const FrozenBank* frozen, SharedBank* bank);
 
   /// Stream symbols >= num_symbols() (element names interned after the
   /// queries were compiled) are remapped to this in-range catch-all
@@ -82,8 +80,9 @@ class QueryEngine {
 
   /// Enables the match-position tap: per position per query, acceptance
   /// is checked so first_match() can answer. Off by default — the check
-  /// costs O(K) per position on the SoA path (a bitset diff on the bank
-  /// path), which throughput-sensitive callers should not pay unasked.
+  /// costs O(K) per position on the SoA path (a bitset diff on the
+  /// product path), which throughput-sensitive callers should not pay
+  /// unasked.
   void set_track_matches(bool on) { track_matches_ = on; }
 
   /// Attaches an NWStats sink (obs/stats.h): every completed RunAll then
@@ -94,7 +93,8 @@ class QueryEngine {
   /// its own). Without a sink only the always-on frozen hit/miss
   /// counters accrue (into an engine-internal sink), so the disabled
   /// path is one branch on a flag that is constant for the stream —
-  /// query results are byte-identical either way.
+  /// query results are byte-identical either way. The bank keeps its own
+  /// sink (SharedBank::set_stats).
   void set_stats(StatsSink* sink);
 
   /// Attaches an NWProf per-query attribution table (obs/prof.h): every
@@ -103,10 +103,11 @@ class QueryEngine {
   /// accepted query's match_docs; with set_track_matches(true) the
   /// match-latch pass additionally tallies per-query accept-set
   /// observations (one per position the query was seen accepting, plus
-  /// the pre-input check) — identical across the SoA, bank, and frozen
-  /// paths. The table must be sized to this engine's bank (attach after
-  /// registering queries), outlive the engine, and be this engine's
-  /// private single-writer instance, exactly like the stats sink.
+  /// the pre-input check) — identical on the SoA and product paths, with
+  /// or without a snapshot. The table must be sized to this engine's
+  /// bank (attach after registering queries), outlive the engine, and be
+  /// this engine's private single-writer instance, exactly like the
+  /// stats sink.
   void set_attribution(QueryAttribution* attr);
 
   size_t num_queries() const;
@@ -142,16 +143,17 @@ class QueryEngine {
 
   /// Same, selecting the front end by format (stream/token_stream.h).
   /// Tokenization is the ONLY thing that varies: past the TokenStream
-  /// every format takes the identical SoA/bank/frozen stepping code.
+  /// every format takes the identical SoA/product stepping code.
   std::vector<bool> RunAll(const std::string& text, Alphabet* alphabet,
                            InputFormat format);
 
-  /// Frozen-path steps answered by the immutable snapshot (lock-free).
+  /// Product-path steps answered by the immutable snapshot (lock-free).
   /// Lives in the attached stats sink (the engine-internal one when none
   /// was attached), so the serving layer reads one source of truth.
   size_t frozen_hits() const { return stats_->frozen_hits.value(); }
-  /// Frozen-path steps that missed the snapshot and took the overflow
-  /// bank's mutex. hits + misses = positions fed on the frozen path.
+  /// Product-path steps the snapshot did not cover, which the bank took.
+  /// hits + misses = positions fed with a snapshot attached; without one
+  /// neither counts.
   size_t frozen_misses() const { return stats_->frozen_misses.value(); }
 
   /// Number of BeginStream() calls — the "K queries, one traversal"
@@ -168,19 +170,35 @@ class QueryEngine {
   /// Peak resident run-state footprint of the current stream, in
   /// StateIds: K linear states plus K per shared stack frame at the
   /// stack's high-water mark — O(K·depth) on the SoA path, O(depth) on
-  /// the shared-bank path (one product state per frame), independent of
+  /// the product path (one product state per frame), independent of
   /// stream length either way.
   size_t ResidentStates() const {
-    if (bank_ != nullptr || frozen_ != nullptr) return 1 + max_frames_;
+    if (bank_ != nullptr) return 1 + max_frames_;
     return state_.size() + autos_.size() * max_frames_;
   }
 
  private:
   size_t AtLeastOne() const { return autos_.empty() ? 1 : autos_.size(); }
-  /// StateIds per shared stack frame: K on the SoA path, 1 on the bank
-  /// and frozen paths (a frame is one interned product tuple).
-  size_t FrameWidth() const {
-    return bank_ != nullptr || frozen_ != nullptr ? 1 : AtLeastOne();
+  /// StateIds per shared stack frame: K on the SoA path, 1 on the
+  /// product path (a frame is one interned product tuple).
+  size_t FrameWidth() const { return bank_ != nullptr ? 1 : AtLeastOne(); }
+  /// Product path: is the current state one of the snapshot's? Its
+  /// per-state facts then come from the snapshot, every other state's
+  /// from the bank. Always false without a snapshot.
+  bool InSnapshot() const { return bank_state_ < snapshot_states_; }
+  /// The current product state's live count and accept bitset.
+  size_t ProductLive() const;
+  const uint64_t* ProductAccepts() const;
+  /// Frozen hit/miss tally of one product step, where `next` is the
+  /// snapshot's answer (kNoState: not covered, or no snapshot). Returns
+  /// true when the bank must take the step.
+  bool Missed(StateId next) {
+    if (next != kNoState) {
+      stats_->frozen_hits.Inc();
+      return false;
+    }
+    if (frozen_ != nullptr) stats_->frozen_misses.Inc();
+    return true;
   }
   /// Records first-accept positions for queries newly observed accepting.
   void LatchMatches();
@@ -190,10 +208,6 @@ class QueryEngine {
   /// over `results`.
   void RecordDocStats(uint64_t latency_us, size_t doc_positions,
                       const std::vector<bool>& results);
-  /// Word-parallel accept diffing shared by the bank and frozen paths.
-  void LatchFromWords(const uint64_t* acc, size_t words);
-  /// One stream position on the frozen path (split out of Feed).
-  size_t FeedFrozen(Kind kind, Symbol s);
   /// The streaming RunAll body, templated over the TokenStream concept
   /// (stream/token_stream.h) — the seam that keeps the engine free of
   /// per-format forks.
@@ -206,10 +220,11 @@ class QueryEngine {
   Symbol other_ = Alphabet::kNoSymbol;
   std::vector<const Nwa*> autos_;
   SharedBank* bank_ = nullptr;
+  /// The snapshot bank_ extends (nullptr: none), and its state count.
   const FrozenBank* frozen_ = nullptr;
-  OverflowBank* overflow_ = nullptr;
-  /// Current product state on the shared-bank path; on the frozen path a
-  /// mixed-space id (frozen, or overflow-tagged after a snapshot miss).
+  StateId snapshot_states_ = 0;
+  /// Current product state: a snapshot id below snapshot_states_, else
+  /// one the bank owns.
   StateId bank_state_ = kNoState;
   /// Linear state per query; kNoState = that query's run is dead.
   std::vector<StateId> state_;
@@ -225,10 +240,8 @@ class QueryEngine {
   size_t live_ = 0;
   bool track_matches_ = false;
   std::vector<int64_t> first_match_;
-  /// Bank/frozen paths: accept bits already latched (word-parallel diff).
+  /// Product path: accept bits already latched (word-parallel diff).
   std::vector<uint64_t> seen_accepts_;
-  /// Frozen path: scratch for an overflow state's accept bitset copy.
-  std::vector<uint64_t> scratch_accepts_;
   /// NWStats: `stats_` points at the attached sink, or at `own_stats_`
   /// (which keeps the frozen hit/miss accessors live) when none is.
   /// `stats_enabled_` gates everything beyond those counters — document

@@ -25,7 +25,7 @@
 //                   snapshot: with no value, exhaustively over the query
 //                   alphabet; with a comma-separated list of XML files,
 //                   by training on those documents (steps the training
-//                   never saw fall back to a per-shard overflow bank)
+//                   never saw step a per-shard bank extending it)
 //   --random N      also evaluate over N generated random documents
 //   --positions P   approximate positions per random document (default 2000)
 //   --depth D       maximum depth of random documents (default 16)
@@ -514,8 +514,8 @@ int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
   } else if (!shared->ExploreAll(kFreezeStateCap, timeline)) {
     std::fprintf(stderr,
                  "nwquery: exhaustive exploration stopped at %zu product "
-                 "states; serving the partial snapshot (misses fall back "
-                 "to the overflow banks)\n",
+                 "states; serving the partial snapshot (misses step the "
+                 "shards' banks)\n",
                  shared->num_states());
   }
   FrozenBank frozen = FrozenBank::Freeze(*shared, timeline);

@@ -72,10 +72,11 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
   std::atomic<uint64_t>& cursor = progress_.cursor;
   std::atomic<size_t> hits{0}, misses{0}, total_positions{0};
   // Each worker owns every piece of mutable state it touches: the engine
-  // (run state), the overflow bank (snapshot-miss escape hatch), the
-  // alphabet copy (streaming interns names first seen in documents — the
-  // copies may diverge, but every post-freeze symbol remaps to the
-  // catch-all before stepping, so results cannot depend on the ids), and
+  // (run state), the bank that extends the snapshot (steps the snapshot
+  // misses intern there, confined to this thread), the alphabet copy
+  // (streaming interns names first seen in documents — the copies may
+  // diverge, but every post-freeze symbol remaps to the catch-all before
+  // stepping, so results cannot depend on the ids), and
   // its NWStats shard sink (single-writer by construction: shard indexes
   // are unique, so each sink has exactly one writing thread while the
   // registry's readers merge relaxed-atomic snapshots). Only the
@@ -89,20 +90,20 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
     const size_t hits0 = sink == nullptr ? 0 : sink->frozen_hits.value();
     const size_t miss0 = sink == nullptr ? 0 : sink->frozen_misses.value();
     Alphabet local_alphabet = alphabet;
-    OverflowBank overflow(frozen_);
+    SharedBank bank(frozen_);
     QueryEngine engine(num_symbols_);
     if (other_ != Alphabet::kNoSymbol) engine.set_other_symbol(other_);
     engine.set_track_matches(track_matches);
-    engine.AddFrozen(frozen_, &overflow);
+    engine.AddFrozen(frozen_, &bank);
     if (sink != nullptr) {
       engine.set_stats(sink);
-      overflow.set_stats(sink);
+      bank.set_stats(sink);
     }
     if (!attrs_.empty()) {
       // Shard w writes only table w, so each attribution table keeps the
       // sinks' single-writer discipline; renders merge across shards.
       engine.set_attribution(attrs_[shard].get());
-      overflow.set_attribution(attrs_[shard].get());
+      bank.set_attribution(attrs_[shard].get());
     }
     for (;;) {
       size_t i = cursor.fetch_add(1, std::memory_order_relaxed);

@@ -1,13 +1,13 @@
 // Parallel sharded streaming evaluation (ROADMAP: parallel sharded
 // streams). One immutable FrozenBank backs N worker threads; each worker
 // owns a private QueryEngine (run state is per-stream), a private copy of
-// the alphabet (interning mutates it), and a private mutex-guarded
-// OverflowBank for snapshot misses. Documents are pulled off a shared
-// atomic cursor, so shards load-balance dynamically, and every result is
-// written to the document's own slot — the merged output is a pure
-// function of the corpus, independent of thread count and scheduling
-// (the differential tests in tests/serve_test.cc pin byte-identity
-// against the single-stream AddBank path at N ∈ {1, 2, 8}).
+// the alphabet (interning mutates it), and a private SharedBank that
+// extends the snapshot for the steps it misses. Documents are pulled off
+// a shared atomic cursor, so shards load-balance dynamically, and every
+// result is written to the document's own slot — the merged output is a
+// pure function of the corpus, independent of thread count and
+// scheduling (the differential tests in tests/serve_test.cc pin
+// byte-identity against the single-stream SoA path at N ∈ {1, 2, 8}).
 #ifndef NW_SERVE_SHARDED_H_
 #define NW_SERVE_SHARDED_H_
 
@@ -44,7 +44,7 @@ struct ServeStats {
   size_t positions = 0;
   /// Steps answered lock-free by the frozen snapshot.
   size_t frozen_hits = 0;
-  /// Steps that took a shard's overflow mutex.
+  /// Steps the snapshot did not cover, taken by a shard's own bank.
   size_t frozen_misses = 0;
   /// Worker threads the corpus was sharded across.
   size_t threads = 0;
@@ -69,9 +69,9 @@ struct ServeStats {
 ///
 /// Invariants: the FrozenBank is never written after construction, so
 /// workers read it without synchronization; all mutable run state
-/// (engine, overflow bank, alphabet copy) is shard-private. The
-/// evaluator itself is NOT re-entrant — call EvaluateCorpus from one
-/// thread at a time.
+/// (engine, the bank extending the snapshot, alphabet copy) is
+/// shard-private. The evaluator itself is NOT re-entrant — call
+/// EvaluateCorpus from one thread at a time.
 class ShardedEvaluator {
  public:
   /// `frozen` must outlive the evaluator. `num_symbols` and
@@ -122,7 +122,7 @@ class ShardedEvaluator {
   /// Attaches NWStats: the evaluator creates one private StatsSink per
   /// worker shard, registers each with `registry` as "shard/N", and from
   /// then on every EvaluateCorpus wires each worker's engine, tokenizer,
-  /// and overflow bank to its shard's sink and additionally records the
+  /// and bank to its shard's sink and additionally records the
   /// shard-loop metrics (documents and bytes pulled, busy vs. queue-wait
   /// time). Also creates one NWProf QueryAttribution table per shard and
   /// registers each with the registry, so per-query match/accept/

@@ -70,12 +70,10 @@ expect_accept nwquery_stats_prom_ok \
 expect_reject nwqueryd_format_typo "want xml, json, or trace" \
   "$NWQUERYD" --socket "$tmpdir/s.sock" --queries "$tmpdir/q.txt" \
   --format=yaml
-expect_reject nwqueryd_opt_typo "want none, rewrite" \
+# nwqueryd always compiles every optimizer pass: --opt is not a flag.
+expect_reject nwqueryd_opt_unknown "unknown option --opt" \
   "$NWQUERYD" --socket "$tmpdir/s.sock" --queries "$tmpdir/q.txt" \
-  --opt=fast
-expect_reject nwqueryd_opt_unservable "cannot serve frozen" \
-  "$NWQUERYD" --socket "$tmpdir/s.sock" --queries "$tmpdir/q.txt" \
-  --opt=min
+  --opt=all
 
 # bench harness: unknown --report values must not slip through to
 # benchmark::Initialize (the silent-ignore bug).

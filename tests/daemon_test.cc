@@ -248,7 +248,7 @@ TEST_P(DaemonDifferential, MatchesOracleAcrossAdmissionAndRefresh) {
   DaemonOptions options;
   options.threads = GetParam();
   // A small exploration cap keeps multi-query product refreshes cheap —
-  // the overflow banks cover whatever the snapshot lacks, so correctness
+  // the shards' banks cover whatever the snapshot lacks, so correctness
   // (the thing under test) is cap-independent.
   options.refresh_cap = 512;
   DaemonCore core(InitialQueries(), options);

@@ -204,7 +204,7 @@ std::vector<std::vector<bool>> Eval(const Workload& w, Path path,
   // Per-path scaffolding must outlive the engine's streaming below.
   std::unique_ptr<SharedBank> bank;
   std::unique_ptr<FrozenBank> frozen;
-  std::unique_ptr<OverflowBank> overflow;
+  std::unique_ptr<SharedBank> overflow;
   switch (path) {
     case Path::kSoa:
       for (const OptimizedQuery& q : w.bank.queries) engine.Add(&q.nwa);
@@ -214,11 +214,12 @@ std::vector<std::vector<bool>> Eval(const Workload& w, Path path,
       engine.AddBank(bank.get());
       break;
     case Path::kFrozen:
-      // Freeze unexplored: every step misses into the overflow bank, the
-      // harshest coverage regime — results must still be identical.
+      // Freeze unexplored: every step misses into the bank extending the
+      // snapshot, the harshest coverage regime — results must still be
+      // identical.
       bank = std::make_unique<SharedBank>(w.bank.shared->autos());
       frozen = std::make_unique<FrozenBank>(FrozenBank::Freeze(*bank));
-      overflow = std::make_unique<OverflowBank>(frozen.get());
+      overflow = std::make_unique<SharedBank>(frozen.get());
       engine.AddFrozen(frozen.get(), overflow.get());
       break;
   }

@@ -162,7 +162,7 @@ TEST(QueryAttribution, FrozenPathMatchesPerQueryOracle) {
     trainer.RunAll(corpus[0], &local);
   }
   FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
-  OverflowBank overflow(&frozen);
+  SharedBank overflow(&frozen);
   QueryEngine engine(w.num_symbols);
   engine.set_other_symbol(w.other);
   engine.set_track_matches(true);
@@ -223,7 +223,7 @@ TEST(QueryAttribution, EscalationsAreChargedToLiveQueries) {
   // Freeze with zero training: every novel step is a snapshot miss, and
   // whatever stays out of frozen space escalates.
   FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
-  OverflowBank overflow(&frozen);
+  SharedBank overflow(&frozen);
   StatsSink sink;
   QueryAttribution attr(frozen.num_queries());
   overflow.set_stats(&sink);

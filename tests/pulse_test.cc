@@ -334,6 +334,13 @@ TEST(ProcessSample, ReportsPlausibleMachineContext) {
   EXPECT_NE(fields.find("\"wall_us\":"), std::string::npos);
 }
 
+// wall_us counts from program load, not from the first clock reading: a
+// process whose first sample comes after 20 ms of work reports >= 20 ms.
+TEST(ProcessSample, WallTimeCountsFromProgramLoad) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_GE(SampleProcess().wall_us, 20000u);
+}
+
 // ---------------------------------------------------------------------------
 // Sampler lifecycle
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the parallel serving layer (src/serve): frozen snapshots of a
-// pre-explored shared bank must answer exactly like the live bank, the
-// mutex-guarded overflow path must make correctness independent of
-// training coverage, and sharded evaluation at any thread count must
+// pre-explored shared bank must answer exactly like the live bank, a bank
+// that extends a snapshot must make correctness independent of training
+// coverage, and sharded evaluation at any thread count must
 // produce results identical to the single-stream engine — acceptance,
 // first-match positions, and per-document position counts — over
 // well-formed AND malformed documents.
@@ -173,14 +173,17 @@ TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
   Workload w(SmallQueryTexts());
   ASSERT_TRUE(w.bank.shared->ExploreAll(1u << 20));
   FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
-  // The snapshot is total, so every overflow step's target tuple exists
-  // in frozen space and must come back as an untagged frozen id equal to
-  // the snapshot's own answer.
-  OverflowBank overflow(&frozen);
+  // The snapshot is total, so every step of a bank extending it lands on
+  // a tuple the snapshot has and must come back as the snapshot's own id
+  // and answer, without the bank owning a single state.
+  SharedBank overflow(&frozen);
+  StatsSink sink;
+  overflow.set_stats(&sink);
+  EXPECT_EQ(overflow.initial(), frozen.initial());
   StateId q = frozen.initial();
   for (Symbol a = 0; a < frozen.num_symbols(); ++a) {
     StateId via_overflow = overflow.StepInternal(q, a);
-    EXPECT_FALSE(OverflowBank::IsOverflowId(via_overflow));
+    EXPECT_LT(via_overflow, frozen.num_states());
     EXPECT_EQ(via_overflow, frozen.Internal(q, a));
     StateId h1, h2;
     StateId lin = overflow.StepCall(q, a, &h1);
@@ -189,7 +192,91 @@ TEST(FrozenBank, OverflowMapsBackIntoFrozenSpace) {
     EXPECT_EQ(h1, h2);
     EXPECT_EQ(overflow.StepReturn(q, h2, a), frozen.Return(q, h2, a));
   }
-  EXPECT_GT(overflow.steps(), 0u);
+  EXPECT_EQ(overflow.num_states(), frozen.num_states());
+  EXPECT_EQ(sink.overflow_steps.value(), 3 * frozen.num_symbols());
+  EXPECT_EQ(sink.overflow_mapbacks.value(), sink.overflow_steps.value());
+  EXPECT_EQ(sink.bank_memo_misses.value(), 0u);  // bank.* stays untouched
+}
+
+/// Streams `corpus` through one engine over `frozen` extended by `bank`,
+/// with one sink on both; returns that sink's counts.
+void StreamExtended(const Workload& w, const FrozenBank& frozen,
+                    SharedBank* bank, const std::vector<std::string>& corpus,
+                    StatsSink* sink) {
+  QueryEngine engine(w.num_symbols);
+  engine.set_other_symbol(w.other);
+  engine.AddFrozen(&frozen, bank);
+  engine.set_stats(sink);
+  bank->set_stats(sink);
+  Alphabet local = w.alphabet;
+  for (const std::string& doc : corpus) engine.RunAll(doc, &local);
+}
+
+// The overflow accounting over a partly trained snapshot: every snapshot
+// miss is one bank step, every bank step ends on a snapshot state or on
+// one the bank owns, and the bank never owns a tuple the snapshot has.
+TEST(FrozenBank, ExtendingBankAccountsForEveryMiss) {
+  Workload w(RichQueryTexts());
+  std::vector<std::string> corpus = MakeCorpus(24, 31);
+  StatsSink trainer_sink;
+  {
+    QueryEngine trainer(w.num_symbols);
+    trainer.set_other_symbol(w.other);
+    trainer.AddBank(w.bank.shared.get());
+    trainer.set_stats(&trainer_sink);
+    w.bank.shared->set_stats(&trainer_sink);
+    Alphabet local = w.alphabet;
+    for (size_t i = 0; i < 3; ++i) trainer.RunAll(corpus[i], &local);
+    w.bank.shared->set_stats(nullptr);
+  }
+  // Without a snapshot the bank counts memo traffic and nothing frozen.
+  EXPECT_EQ(trainer_sink.engine_docs_bank.value(), 3u);
+  EXPECT_GT(trainer_sink.bank_memo_misses.value(), 0u);
+  EXPECT_EQ(trainer_sink.frozen_hits.value() +
+                trainer_sink.frozen_misses.value() +
+                trainer_sink.overflow_steps.value(),
+            0u);
+  FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
+  SharedBank bank(&frozen);
+  StatsSink sink;
+  StreamExtended(w, frozen, &bank, corpus, &sink);
+  EXPECT_EQ(sink.engine_docs_frozen.value(), corpus.size());
+  ASSERT_GT(sink.frozen_hits.value(), 0u);
+  ASSERT_GT(sink.frozen_misses.value(), 0u);
+  EXPECT_EQ(sink.overflow_steps.value(), sink.frozen_misses.value());
+  EXPECT_EQ(sink.overflow_mapbacks.value() +
+                sink.overflow_escalations.value(),
+            sink.overflow_steps.value());
+  EXPECT_GT(sink.overflow_mapbacks.value(), 0u);
+  EXPECT_GT(sink.overflow_escalations.value(), 0u);
+  EXPECT_EQ(sink.bank_states.value(), 0u);  // bank.* stays untouched
+  ASSERT_GT(bank.num_states(), frozen.num_states());
+  for (StateId q = bank.first_own_state(); q < bank.num_states(); ++q) {
+    EXPECT_EQ(frozen.FindTuple(bank.tuple(q)), kNoState) << "state " << q;
+  }
+}
+
+// Refreshing by harvesting a bank's own states is not supported: a bank
+// that extends a snapshot can neither be explored nor frozen.
+TEST(FrozenBankDeathTest, ExtendingBankRefusesExploreAndFreeze) {
+  Workload w(SmallQueryTexts());
+  FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
+  SharedBank bank(&frozen);
+  EXPECT_DEATH(bank.ExploreAll(1u << 10), "extends a snapshot");
+  EXPECT_DEATH(FrozenBank::Freeze(bank), "extends a snapshot");
+}
+
+TEST(FrozenBank, ExhaustiveSnapshotLeavesTheBankEmpty) {
+  Workload w(SmallQueryTexts());
+  ASSERT_TRUE(w.bank.shared->ExploreAll(1u << 20));
+  FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
+  SharedBank bank(&frozen);
+  StatsSink sink;
+  StreamExtended(w, frozen, &bank, MakeCorpus(24, 99), &sink);
+  EXPECT_GT(sink.frozen_hits.value(), 0u);
+  EXPECT_EQ(sink.frozen_misses.value(), 0u);
+  EXPECT_EQ(sink.overflow_steps.value(), 0u);
+  EXPECT_EQ(bank.num_states(), frozen.num_states());
 }
 
 // The tentpole differential: sharded evaluation at N ∈ {1, 2, 8} threads
@@ -245,11 +332,14 @@ TEST(ShardedEvaluator, UntrainedFreezeStillCorrect) {
   std::vector<DocResult> want = ReferenceResults(w, corpus);
   FrozenBank frozen = FrozenBank::Freeze(*w.bank.shared);
   ASSERT_EQ(frozen.num_states(), 1u);
-  ShardedEvaluator evaluator(&frozen, w.num_symbols, w.other, 4);
-  std::vector<DocResult> got =
-      evaluator.EvaluateCorpus(corpus, w.alphabet, true);
-  ExpectSameResults(want, got);
-  EXPECT_EQ(evaluator.stats().frozen_hits, 0u);
+  for (size_t threads : {1u, 2u, 8u}) {
+    ShardedEvaluator evaluator(&frozen, w.num_symbols, w.other, threads);
+    std::vector<DocResult> got =
+        evaluator.EvaluateCorpus(corpus, w.alphabet, true);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectSameResults(want, got);
+    EXPECT_EQ(evaluator.stats().frozen_hits, 0u);
+  }
 }
 
 TEST(ShardedEvaluator, EmptyCorpus) {
