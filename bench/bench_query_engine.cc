@@ -97,8 +97,7 @@ size_t RunSequentially(const Workload& w, size_t num_queries) {
 
 /// Batched: one tokenizer pass drives all K queries.
 size_t RunBatched(const Workload& w, QueryEngine* engine) {
-  Alphabet local = w.alphabet;
-  std::vector<bool> results = engine->RunAll(w.doc, &local);
+  std::vector<bool> results = engine->RunAll(w.doc, &w.alphabet);
   size_t matched = 0;
   for (bool hit : results) matched += hit;
   return matched;
@@ -271,10 +270,9 @@ void MemoryTable(const BenchConfig& cfg, BenchReport* report) {
   if (cfg.print()) t.Print();
 }
 
-/// One tokenizer pass over a document, counting tokens. The local
-/// alphabet copy mirrors what QueryEngine::RunAll does per document,
-/// so the measured cost includes the interning traffic a real
-/// ingestion pays.
+/// One tokenizer pass over a document, counting tokens. It interns into
+/// a copy of the base alphabet, as materializing a NestedWord does, so
+/// the measured cost includes the interning of names the base lacks.
 template <typename Stream>
 size_t CountTokens(const std::string& text, const Alphabet& base) {
   Alphabet local = base;

@@ -145,8 +145,7 @@ struct BankWorkload {
 };
 
 size_t RunEngine(const BankWorkload& w, QueryEngine* engine) {
-  Alphabet local = w.alphabet;
-  std::vector<bool> results = engine->RunAll(w.doc, &local);
+  std::vector<bool> results = engine->RunAll(w.doc, &w.alphabet);
   size_t matched = 0;
   for (bool hit : results) matched += hit;
   return matched;

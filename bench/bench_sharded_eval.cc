@@ -89,8 +89,7 @@ struct ServeWorkload {
     QueryEngine trainer(alphabet.size());
     trainer.set_other_symbol(other);
     trainer.AddBank(bank.shared.get());
-    Alphabet local = alphabet;
-    for (const std::string& doc : corpus) trainer.RunAll(doc, &local);
+    for (const std::string& doc : corpus) trainer.RunAll(doc, &alphabet);
   }
 };
 

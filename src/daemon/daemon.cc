@@ -111,17 +111,25 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
       replay.assign(replay_.begin(), replay_.end());
     }
     if (!replay.empty()) {
-      Alphabet scratch = alphabet_;
+      // Names resolve read-only against the master alphabet (admit_mu_
+      // is held, so nothing interns meanwhile); one the bank was not
+      // compiled over steps as the catch-all, as it does when served.
       QueryEngine trainer(bank_->shared->num_symbols());
       trainer.set_other_symbol(other_);
       trainer.AddBank(bank_->shared.get());
       for (const ReplayDoc& d : replay) {
-        trainer.RunAll(d.text, &scratch, d.format);
+        trainer.RunAll(d.text, &alphabet_, d.format);
       }
     }
     bank_->shared->ExploreAll(options_.refresh_cap, nullptr);
   }
-  auto epoch = std::make_shared<DaemonEpoch>();
+  // The alphabet only grows, so an unchanged size means the published
+  // copy is current and this epoch shares it.
+  if (published_names_ == nullptr ||
+      published_names_->size() != alphabet_.size()) {
+    published_names_ = std::make_shared<const Alphabet>(alphabet_);
+  }
+  auto epoch = std::make_shared<DaemonEpoch>(published_names_);
   epoch->id = next_epoch_id_++;
   epoch->refreshed = refreshed;
   for (const Admitted& a : admitted_) {
@@ -130,10 +138,9 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
   }
   epoch->bank = bank_;
   epoch->frozen = FrozenBank::FreezeShared(*bank_->shared);
-  epoch->alphabet = alphabet_;
   // The engine symbol space is the bank's, not the (possibly larger)
-  // master alphabet's: names interned by documents or by a failed ADMIT
-  // parse remap to the catch-all until the next rebuild widens the bank.
+  // master alphabet's: names a failed ADMIT parse interned remap to the
+  // catch-all until the next rebuild widens the bank.
   epoch->num_symbols = epoch->frozen->num_symbols();
   epoch->baseline = CaptureSnapshot(registry_);
   uint64_t id = epoch->id;

@@ -80,6 +80,9 @@ struct DaemonOptions {
 /// is mutated ONLY under the core's admission mutex — never through
 /// this struct.
 struct DaemonEpoch {
+  explicit DaemonEpoch(std::shared_ptr<const Alphabet> names)
+      : names(std::move(names)), alphabet(*this->names) {}
+
   uint64_t id = 0;
   /// True when this epoch's snapshot came from a refresh (replay +
   /// ExploreAll) rather than a cold admission freeze.
@@ -93,8 +96,11 @@ struct DaemonEpoch {
   std::shared_ptr<OptimizedBank> bank;
   /// The immutable snapshot this epoch serves — the RCU unit.
   std::shared_ptr<const FrozenBank> frozen;
-  /// Master-alphabet snapshot at publish (workers copy it per batch).
-  Alphabet alphabet;
+  /// Master-alphabet snapshot at publish, shared by every epoch until
+  /// an admission interns a new name, so a refresh copies none.
+  std::shared_ptr<const Alphabet> names;
+  /// `*names`: the shard workers resolve names against it read-only.
+  const Alphabet& alphabet;
   size_t num_symbols = 0;
   /// Registry capture at publish: per-epoch metrics are
   /// SnapshotDelta(baseline, now).
@@ -240,6 +246,8 @@ class DaemonCore {
   // query list, and the bank under construction. --
   mutable std::mutex admit_mu_;
   Alphabet alphabet_;
+  /// The latest published copy of alphabet_ (see DaemonEpoch::names).
+  std::shared_ptr<const Alphabet> published_names_;
   Symbol other_ = Alphabet::kNoSymbol;
   struct Admitted {
     uint64_t qid;

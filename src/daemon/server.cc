@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -191,6 +192,10 @@ void DaemonServer::Run() {
 
 void DaemonServer::Serve(int fd) {
   std::string buffer;
+  // Bytes at the front of `buffer` already searched for '\n': a long
+  // request line arriving over many reads is scanned once, not once per
+  // read.
+  size_t searched = 0;
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -210,7 +215,8 @@ void DaemonServer::Serve(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
     size_t nl;
-    while (open && (nl = buffer.find('\n', start)) != std::string::npos) {
+    while (open && (nl = buffer.find('\n', std::max(start, searched))) !=
+                       std::string::npos) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -219,6 +225,7 @@ void DaemonServer::Serve(int fd) {
       if (!SendAll(fd, response)) open = false;
     }
     buffer.erase(0, start);
+    searched = buffer.size();
   }
   ::close(fd);
 }

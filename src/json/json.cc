@@ -1,34 +1,23 @@
 #include "json/json.h"
 
-#include <cctype>
+#include <string_view>
 
 #include "obs/stats.h"
 
 namespace nw {
 
-namespace {
-
-/// Characters with structural meaning to the scanner; everything else
-/// groups into bare-token runs (numbers, true/false/null, garbage).
-bool IsStructural(char c) {
-  return c == '{' || c == '}' || c == '[' || c == ']' || c == ',' ||
-         c == ':' || c == '"';
-}
-
-}  // namespace
-
 Symbol JsonTokenStream::TextSym() {
-  if (text_sym_ == Alphabet::kNoSymbol) text_sym_ = alphabet_->Intern("#text");
+  if (text_sym_ == Alphabet::kNoSymbol) text_sym_ = resolve_("#text");
   return text_sym_;
 }
 
 Symbol JsonTokenStream::ObjSym() {
-  if (obj_sym_ == Alphabet::kNoSymbol) obj_sym_ = alphabet_->Intern("#obj");
+  if (obj_sym_ == Alphabet::kNoSymbol) obj_sym_ = resolve_("#obj");
   return obj_sym_;
 }
 
 Symbol JsonTokenStream::ArrSym() {
-  if (arr_sym_ == Alphabet::kNoSymbol) arr_sym_ = alphabet_->Intern("#arr");
+  if (arr_sym_ == Alphabet::kNoSymbol) arr_sym_ = resolve_("#arr");
   return arr_sym_;
 }
 
@@ -68,10 +57,11 @@ bool JsonTokenStream::Next(TaggedSymbol* out) {
     }
     return true;
   }
-  const std::string& text = text_;
-  while (pos_ < text.size()) {
-    char c = text[pos_];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',' || c == ':') {
+  const char* const data = text_.data();
+  const size_t size = text_.size();
+  while (pos_ < size) {
+    char c = data[pos_];
+    if (IsByte(c, kSpaceByte) || c == ',' || c == ':') {
       // Separators carry no positions; a stray ':' outside a key is as
       // silent as the one the key scan consumes.
       ++pos_;
@@ -112,40 +102,30 @@ bool JsonTokenStream::Next(TaggedSymbol* out) {
       return true;
     }
     if (c == '"') {
-      // Scan the string; \" must not terminate it. Unterminated strings
-      // run to end of input (truncated documents stay analyzable).
-      size_t j = pos_ + 1;
-      std::string contents;
-      while (j < text.size() && text[j] != '"') {
-        if (text[j] == '\\' && j + 1 < text.size()) {
-          contents += text[j];
-          ++j;
-        }
-        contents += text[j];
-        ++j;
-      }
-      pos_ = j < text.size() ? j + 1 : text.size();
+      // Skip the string without building it; a backslash skips the byte
+      // after it, so \" does not terminate it. Unterminated strings run
+      // to end of input (truncated documents stay analyzable).
+      const size_t body = pos_ + 1;
+      size_t j = body;
+      while (j < size && data[j] != '"') j += data[j] == '\\' ? 2 : 1;
+      if (j > size) j = size;  // a backslash as the last byte
+      pos_ = j < size ? j + 1 : size;
       // A string followed by ':' is a key (detected anywhere — leniency,
-      // not grammar); it defers its tokens to the value it labels. A new
-      // key displaces an unconsumed one (garbage like `"a":"b":1`).
+      // not grammar) named by its raw bytes; it defers its tokens to the
+      // value it labels. A new key displaces an unconsumed one (garbage
+      // like `"a":"b":1`).
       size_t k = pos_;
-      while (k < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[k]))) {
-        ++k;
-      }
-      if (k < text.size() && text[k] == ':') {
+      while (k < size && IsByte(data[k], kSpaceByte)) ++k;
+      if (k < size && data[k] == ':') {
         pos_ = k + 1;
-        pending_key_ = alphabet_->Intern(contents);
+        pending_key_ = resolve_(std::string_view(data + body, j - body));
         continue;
       }
       return EmitScalar(out);
     }
     // Bare token run: a number, true/false/null, or garbage — one scalar.
     size_t j = pos_;
-    while (j < text.size() && !IsStructural(text[j]) &&
-           !std::isspace(static_cast<unsigned char>(text[j]))) {
-      ++j;
-    }
+    while (j < size && !IsByte(data[j], kJsonBreak)) ++j;
     pos_ = j;
     return EmitScalar(out);
   }

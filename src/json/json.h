@@ -35,19 +35,28 @@
 namespace nw {
 
 /// Incremental pull tokenizer over JSON text — one instantiation of the
-/// TokenStream concept (stream/token_stream.h), allocation-light like
-/// XmlTokenStream: per-token work is a scan plus at most one interning;
-/// the only resident state is the container stack (bounded by nesting
-/// depth) and a two-slot queue for a keyed scalar's internal+return.
-/// Object keys are interned into `*alphabet` by their raw spelling; the
-/// pseudo-symbols "#text", "#obj", and "#arr" intern lazily on first use.
+/// TokenStream concept (stream/token_stream.h). It scans a run at a
+/// time and never builds a string's contents: scalar strings are
+/// skipped, and an object key's name is its raw bytes between the quotes
+/// (escapes included), handed on as a view into the document, so Next()
+/// allocates only to intern a new key. The only resident state is the
+/// container stack (bounded by nesting depth) and a two-slot queue for a
+/// keyed scalar's internal+return. The interning constructor adds new
+/// keys to `*alphabet`; the read-only one looks them up in `alphabet` (a
+/// key it lacks takes the catch-all). The pseudo-symbols "#text", "#obj",
+/// and "#arr" resolve lazily on first use.
 class JsonTokenStream {
  public:
-  /// `text` and `alphabet` must outlive the stream.
+  /// Interning: new keys are added to `*alphabet`. `text` and `alphabet`
+  /// must outlive the stream.
   JsonTokenStream(const std::string& text, Alphabet* alphabet)
-      : text_(text), alphabet_(alphabet) {}
+      : text_(text), resolve_(alphabet) {}
+  /// Read-only: keys resolve against `alphabet`, which is never written.
+  JsonTokenStream(const std::string& text, const Alphabet& alphabet)
+      : text_(text), resolve_(alphabet) {}
   /// The stream reads `text` incrementally; a temporary would dangle.
   JsonTokenStream(std::string&& text, Alphabet* alphabet) = delete;
+  JsonTokenStream(std::string&& text, const Alphabet& alphabet) = delete;
   /// Flushes tallies to the stats sink if one is attached.
   ~JsonTokenStream() { tally_.Flush(pos_); }
 
@@ -65,7 +74,7 @@ class JsonTokenStream {
   size_t pos() const { return pos_; }
 
  private:
-  /// Lazily interned pseudo-symbols, cached after the first use.
+  /// Lazily resolved pseudo-symbols, cached after the first use.
   Symbol TextSym();
   Symbol ObjSym();
   Symbol ArrSym();
@@ -74,7 +83,7 @@ class JsonTokenStream {
   bool EmitScalar(TaggedSymbol* out);
 
   const std::string& text_;
-  Alphabet* alphabet_;
+  NameResolver resolve_;
   size_t pos_ = 0;
   Symbol text_sym_ = Alphabet::kNoSymbol;
   Symbol obj_sym_ = Alphabet::kNoSymbol;

@@ -5,7 +5,9 @@
 #define NW_NW_ALPHABET_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +21,9 @@ using Symbol = uint32_t;
 ///
 /// The paper's constructions are parameterized by |Σ|; most examples use
 /// Σ = {a, b}. Alphabets are value types and cheap to copy for the small
-/// sizes used throughout.
+/// sizes used throughout. Lookups take any `std::string_view` (the
+/// tokenizers pass views into the document) and never allocate; only
+/// interning a new name does.
 class Alphabet {
  public:
   Alphabet() = default;
@@ -30,17 +34,17 @@ class Alphabet {
   }
 
   /// Returns the id for `name`, interning it if new.
-  Symbol Intern(const std::string& name) {
+  Symbol Intern(std::string_view name) {
     auto it = ids_.find(name);
     if (it != ids_.end()) return it->second;
     Symbol id = static_cast<Symbol>(names_.size());
-    names_.push_back(name);
-    ids_.emplace(name, id);
+    names_.emplace_back(name);
+    ids_.emplace(names_.back(), id);
     return id;
   }
 
   /// Returns the id for `name` or `kNoSymbol` when absent.
-  Symbol Find(const std::string& name) const {
+  Symbol Find(std::string_view name) const {
     auto it = ids_.find(name);
     return it == ids_.end() ? kNoSymbol : it->second;
   }
@@ -61,8 +65,17 @@ class Alphabet {
   static Alphabet Letters(int n);
 
  private:
+  /// Transparent hash: lets find() take a string_view without building
+  /// a std::string key.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, Symbol> ids_;
+  std::unordered_map<std::string, Symbol, NameHash, std::equal_to<>> ids_;
 };
 
 inline Alphabet Alphabet::Letters(int n) {

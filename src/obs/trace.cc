@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 
@@ -68,13 +67,25 @@ void Tracer::Emit(const std::string& event) {
   if (format_ == TraceFormat::kJsonl) std::fputs("\n", file_);
 }
 
+namespace {
+
+/// Appends `,"key":value` (the key is a fixed identifier, not escaped).
+void AppendField(std::string* line, const char* key, uint64_t value) {
+  *line += ",\"";
+  *line += key;
+  *line += "\":";
+  *line += std::to_string(value);
+}
+
+}  // namespace
+
 void Tracer::WriteSpan(
     const std::string& name, const std::string& label, uint64_t start_us,
     uint64_t dur_us,
     const std::vector<std::pair<std::string, uint64_t>>& fields) {
   if (file_ == nullptr) return;
-  char buf[64];
-  std::string line;
+  std::string line = "{\"name\":";
+  AppendJsonString(&line, name);
   if (format_ == TraceFormat::kChrome) {
     // Complete ("X") event: ts/dur in µs, pid fixed, tid = the span's
     // shard so Perfetto lays shards out as tracks. Everything else —
@@ -83,45 +94,30 @@ void Tracer::WriteSpan(
     for (const auto& [key, value] : fields) {
       if (key == "shard") tid = value;
     }
-    line.push_back('{');
-    AppendJsonString(&line, "name");
-    line.push_back(':');
-    AppendJsonString(&line, name);
-    std::snprintf(buf, sizeof(buf),
-                  ",\"cat\":\"nwquery\",\"ph\":\"X\",\"ts\":%" PRIu64
-                  ",\"dur\":%" PRIu64 ",\"pid\":1,\"tid\":%" PRIu64,
-                  start_us, dur_us, tid);
-    line += buf;
-    line += ",\"args\":{";
-    AppendJsonString(&line, "label");
-    line.push_back(':');
+    line += ",\"cat\":\"nwquery\",\"ph\":\"X\"";
+    AppendField(&line, "ts", start_us);
+    AppendField(&line, "dur", dur_us);
+    AppendField(&line, "pid", 1);
+    AppendField(&line, "tid", tid);
+    line += ",\"args\":{\"label\":";
     AppendJsonString(&line, label);
     for (const auto& [key, value] : fields) {
       line.push_back(',');
       AppendJsonString(&line, key);
-      std::snprintf(buf, sizeof(buf), ":%" PRIu64, value);
-      line += buf;
+      line += ":" + std::to_string(value);
     }
     line += "}}";
     Emit(line);
     return;
   }
-  line.push_back('{');
-  AppendJsonString(&line, "name");
-  line.push_back(':');
-  AppendJsonString(&line, name);
-  line.push_back(',');
-  AppendJsonString(&line, "label");
-  line.push_back(':');
+  line += ",\"label\":";
   AppendJsonString(&line, label);
-  std::snprintf(buf, sizeof(buf), ",\"start_us\":%" PRIu64
-                ",\"dur_us\":%" PRIu64, start_us, dur_us);
-  line += buf;
+  AppendField(&line, "start_us", start_us);
+  AppendField(&line, "dur_us", dur_us);
   for (const auto& [key, value] : fields) {
     line.push_back(',');
     AppendJsonString(&line, key);
-    std::snprintf(buf, sizeof(buf), ":%" PRIu64, value);
-    line += buf;
+    line += ":" + std::to_string(value);
   }
   line.push_back('}');
   Emit(line);
@@ -129,34 +125,32 @@ void Tracer::WriteSpan(
 
 void Tracer::WriteCounters(uint64_t shard, const StatsSink& sink) {
   if (file_ == nullptr) return;
-  const uint64_t docs = sink.engine_docs.value();
-  const uint64_t positions = sink.engine_positions.value();
-  const uint64_t hits = sink.frozen_hits.value();
-  const uint64_t misses = sink.frozen_misses.value();
-  char buf[256];
-  std::string line;
+  const std::string label = "shard/" + std::to_string(shard);
+  std::string line = "{\"name\":";
   if (format_ == TraceFormat::kChrome) {
     // Counter ("C") event: one per shard; Perfetto plots each args key
     // as a series under the counter track named after the shard.
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"shard/%" PRIu64
-                  "\",\"cat\":\"nwquery\",\"ph\":\"C\",\"ts\":%" PRIu64
-                  ",\"pid\":1,\"tid\":%" PRIu64
-                  ",\"args\":{\"docs\":%" PRIu64 ",\"positions\":%" PRIu64
-                  ",\"frozen_hits\":%" PRIu64 ",\"frozen_misses\":%" PRIu64
-                  "}}",
-                  shard, NowUs(), shard, docs, positions, hits, misses);
-    line = buf;
-    Emit(line);
-    return;
+    AppendJsonString(&line, label);
+    line += ",\"cat\":\"nwquery\",\"ph\":\"C\"";
+    AppendField(&line, "ts", NowUs());
+    AppendField(&line, "pid", 1);
+    AppendField(&line, "tid", shard);
+    line += ",\"args\":{";
+  } else {
+    // The span schema every JSONL line shares (name, label, start_us,
+    // dur_us): a counter sample is a zero-length span at its sample time.
+    line += "\"counters\",\"label\":";
+    AppendJsonString(&line, label);
+    AppendField(&line, "start_us", NowUs());
+    AppendField(&line, "dur_us", 0);
+    AppendField(&line, "shard", shard);
+    line.push_back(',');
   }
-  std::snprintf(buf, sizeof(buf),
-                "{\"name\":\"counters\",\"shard\":%" PRIu64
-                ",\"ts_us\":%" PRIu64 ",\"docs\":%" PRIu64
-                ",\"positions\":%" PRIu64 ",\"frozen_hits\":%" PRIu64
-                ",\"frozen_misses\":%" PRIu64 "}",
-                shard, NowUs(), docs, positions, hits, misses);
-  line = buf;
+  line += "\"docs\":" + std::to_string(sink.engine_docs.value());
+  AppendField(&line, "positions", sink.engine_positions.value());
+  AppendField(&line, "frozen_hits", sink.frozen_hits.value());
+  AppendField(&line, "frozen_misses", sink.frozen_misses.value());
+  line += format_ == TraceFormat::kChrome ? "}}" : "}";
   Emit(line);
 }
 

@@ -79,7 +79,9 @@ class Tracer {
 
   /// Snapshots a shard's headline counters (docs, positions, frozen
   /// hits/misses) as one counter event — a "C" event on tid `shard` in
-  /// chrome mode, a {"name":"counters",...} line in jsonl. Thread-safe;
+  /// chrome mode; in jsonl a line in the span schema, a zero-length span
+  /// {"name":"counters","label":"shard/N","start_us":now,"dur_us":0,
+  /// "shard":N,...} so every line has the same four keys. Thread-safe;
   /// call it from the shard that owns `sink` (single-writer sinks are
   /// only safely readable from their writer thread while serving).
   void WriteCounters(uint64_t shard, const StatsSink& sink);

@@ -304,7 +304,7 @@ std::vector<bool> QueryEngine::RunAll(const NestedWord& n) {
 
 template <typename Stream>
 std::vector<bool> QueryEngine::RunStream(const std::string& text,
-                                         Alphabet* alphabet) {
+                                         const Alphabet& alphabet) {
   Stopwatch sw;
   const size_t before = positions_;
   BeginStream();
@@ -323,20 +323,26 @@ std::vector<bool> QueryEngine::RunStream(const std::string& text,
 }
 
 std::vector<bool> QueryEngine::RunAll(const std::string& xml_text,
-                                      Alphabet* alphabet) {
-  return RunStream<XmlTokenStream>(xml_text, alphabet);
+                                      const Alphabet* alphabet) {
+  return RunAll(xml_text, alphabet, InputFormat::kXml);
 }
 
 std::vector<bool> QueryEngine::RunAll(const std::string& text,
-                                      Alphabet* alphabet,
+                                      const Alphabet* alphabet,
                                       InputFormat format) {
+  // A name the alphabet lacks resolves to an id >= alphabet->size(); it
+  // reaches the catch-all only if that id is outside the symbol space.
+  NW_CHECK_MSG(alphabet->size() >= num_symbols_,
+               "a %zu-name alphabet cannot resolve names for a %zu-symbol "
+               "engine",
+               alphabet->size(), num_symbols_);
   switch (format) {
     case InputFormat::kXml:
-      return RunStream<XmlTokenStream>(text, alphabet);
+      return RunStream<XmlTokenStream>(text, *alphabet);
     case InputFormat::kJson:
-      return RunStream<JsonTokenStream>(text, alphabet);
+      return RunStream<JsonTokenStream>(text, *alphabet);
     case InputFormat::kTrace:
-      return RunStream<TraceTokenStream>(text, alphabet);
+      return RunStream<TraceTokenStream>(text, *alphabet);
   }
   NW_CHECK_MSG(false, "unreachable: unknown input format");
   return {};

@@ -73,9 +73,10 @@ class QueryEngine {
   /// engine needs its own bank. Both must outlive the engine.
   void AddFrozen(const FrozenBank* frozen, SharedBank* bank);
 
-  /// Stream symbols >= num_symbols() (element names interned after the
-  /// queries were compiled) are remapped to this in-range catch-all
-  /// before stepping. Without one, out-of-range symbols abort.
+  /// Stream symbols >= num_symbols() (names the queries were not
+  /// compiled over, whether interned later or absent from a read-only
+  /// alphabet) are remapped to this in-range catch-all before stepping.
+  /// Without one, out-of-range symbols abort.
   void set_other_symbol(Symbol s);
 
   /// Enables the match-position tap: per position per query, acceptance
@@ -137,14 +138,18 @@ class QueryEngine {
 
   /// Streaming form: tokenizes `xml_text` position by position straight
   /// into the bank — no materialized NestedWord, so total memory really
-  /// is the O(K·depth) run state. New element names intern into
-  /// `*alphabet` (remapped via set_other_symbol when out of range).
-  std::vector<bool> RunAll(const std::string& xml_text, Alphabet* alphabet);
+  /// is the O(K·depth) run state. Names are resolved read-only against
+  /// `*alphabet`, which is never written (so shards may share one): a
+  /// name it lacks, like one it holds at an id >= num_symbols(), steps as
+  /// the catch-all (set_other_symbol). `*alphabet` must cover the symbol
+  /// space (size() >= num_symbols(); checked).
+  std::vector<bool> RunAll(const std::string& xml_text,
+                           const Alphabet* alphabet);
 
   /// Same, selecting the front end by format (stream/token_stream.h).
   /// Tokenization is the ONLY thing that varies: past the TokenStream
   /// every format takes the identical SoA/product stepping code.
-  std::vector<bool> RunAll(const std::string& text, Alphabet* alphabet,
+  std::vector<bool> RunAll(const std::string& text, const Alphabet* alphabet,
                            InputFormat format);
 
   /// Product-path steps answered by the immutable snapshot (lock-free).
@@ -212,7 +217,8 @@ class QueryEngine {
   /// (stream/token_stream.h) — the seam that keeps the engine free of
   /// per-format forks.
   template <typename Stream>
-  std::vector<bool> RunStream(const std::string& text, Alphabet* alphabet);
+  std::vector<bool> RunStream(const std::string& text,
+                              const Alphabet& alphabet);
   /// Per-query acceptance of the stream fed so far.
   std::vector<bool> Results() const;
 

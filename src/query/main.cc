@@ -427,7 +427,7 @@ void PrintMatchLines(const std::string& label, const std::vector<bool>& hits,
 /// Streams one document through the engine and reports results.
 void EvaluateDocument(const std::string& label, const std::string& text,
                       const std::vector<std::string>& query_texts,
-                      Alphabet* alphabet, QueryEngine* engine,
+                      const Alphabet* alphabet, QueryEngine* engine,
                       const Options& opt, Tracer* tracer) {
   TraceSpan span(tracer, "doc", label);
   size_t positions_before = engine->positions();
@@ -473,8 +473,8 @@ void RenderStats(const StatsRegistry& registry, const Options& opt) {
 /// into an immutable FrozenBank, and shard the whole corpus across worker
 /// threads. Output (match lines, per-document order) is byte-identical to
 /// the single-stream path at any thread count.
-int ServeFrozen(const Options& opt, OptimizedBank* bank, Alphabet* alphabet,
-                size_t num_symbols, Symbol other,
+int ServeFrozen(const Options& opt, OptimizedBank* bank,
+                const Alphabet* alphabet, size_t num_symbols, Symbol other,
                 const std::vector<std::string>& query_texts,
                 StatsRegistry* registry, Tracer* tracer,
                 CompileTimeline* timeline) {

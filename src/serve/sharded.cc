@@ -73,14 +73,12 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
   std::atomic<size_t> hits{0}, misses{0}, total_positions{0};
   // Each worker owns every piece of mutable state it touches: the engine
   // (run state), the bank that extends the snapshot (steps the snapshot
-  // misses intern there, confined to this thread), the alphabet copy
-  // (streaming interns names first seen in documents — the copies may
-  // diverge, but every post-freeze symbol remaps to the catch-all before
-  // stepping, so results cannot depend on the ids), and
-  // its NWStats shard sink (single-writer by construction: shard indexes
-  // are unique, so each sink has exactly one writing thread while the
-  // registry's readers merge relaxed-atomic snapshots). Only the
-  // FrozenBank is shared, and it is read-only by construction.
+  // misses intern there, confined to this thread), and its NWStats shard
+  // sink (single-writer by construction: shard indexes are unique, so
+  // each sink has exactly one writing thread while the registry's
+  // readers merge relaxed-atomic snapshots). The FrozenBank and the
+  // alphabet are shared and only read: names resolve by lookup, and a
+  // name the alphabet lacks steps as the catch-all.
   auto worker = [&](size_t shard) {
     StatsSink* sink = sinks_.empty() ? nullptr : sinks_[shard].get();
     Stopwatch wall;
@@ -89,7 +87,6 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
     // per-call, so the frozen hit/miss contribution is a delta.
     const size_t hits0 = sink == nullptr ? 0 : sink->frozen_hits.value();
     const size_t miss0 = sink == nullptr ? 0 : sink->frozen_misses.value();
-    Alphabet local_alphabet = alphabet;
     SharedBank bank(frozen_);
     QueryEngine engine(num_symbols_);
     if (other_ != Alphabet::kNoSymbol) engine.set_other_symbol(other_);
@@ -112,7 +109,7 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
       TraceSpan span(tracer_, "doc", "corpus/" + std::to_string(i));
       size_t before = engine.positions();
       DocResult& r = results[i];
-      r.accept = engine.RunAll(corpus[i], &local_alphabet, format_);
+      r.accept = engine.RunAll(corpus[i], &alphabet, format_);
       r.positions = engine.positions() - before;
       if (track_matches) {
         r.first_match.resize(engine.num_queries());
@@ -183,8 +180,10 @@ namespace {
 template <typename Stream>
 std::vector<std::string> SplitWithStream(const std::string& text) {
   std::vector<std::string> out;
-  Alphabet scratch;
-  Stream stream(text, &scratch);
+  // Only token kinds matter here: names resolve read-only against an
+  // empty alphabet, so splitting interns and allocates nothing per name.
+  static const Alphabet kNoNames;
+  Stream stream(text, kNoNames);
   TaggedSymbol t;
   size_t chunk_start = 0;
   size_t depth = 0;

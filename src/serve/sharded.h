@@ -1,8 +1,9 @@
 // Parallel sharded streaming evaluation (ROADMAP: parallel sharded
-// streams). One immutable FrozenBank backs N worker threads; each worker
-// owns a private QueryEngine (run state is per-stream), a private copy of
-// the alphabet (interning mutates it), and a private SharedBank that
-// extends the snapshot for the steps it misses. Documents are pulled off
+// streams). One immutable FrozenBank and one immutable alphabet back N
+// worker threads; each worker owns a private QueryEngine (run state is
+// per-stream) and a private SharedBank that extends the snapshot for the
+// steps it misses, and resolves names read-only against the shared
+// alphabet (a name it lacks takes the catch-all). Documents are pulled off
 // a shared atomic cursor, so shards load-balance dynamically, and every
 // result is written to the document's own slot — the merged output is a
 // pure function of the corpus, independent of thread count and
@@ -67,11 +68,11 @@ struct ServeStats {
 /// them before returning (no persistent pool — worker state is rebuilt
 /// per call).
 ///
-/// Invariants: the FrozenBank is never written after construction, so
-/// workers read it without synchronization; all mutable run state
-/// (engine, the bank extending the snapshot, alphabet copy) is
-/// shard-private. The evaluator itself is NOT re-entrant — call
-/// EvaluateCorpus from one thread at a time.
+/// Invariants: the FrozenBank and the alphabet are never written while
+/// serving, so workers read them without synchronization; all mutable
+/// run state (engine, the bank extending the snapshot) is shard-private.
+/// The evaluator itself is NOT re-entrant — call EvaluateCorpus from one
+/// thread at a time.
 class ShardedEvaluator {
  public:
   /// `frozen` must outlive the evaluator. `num_symbols` and
@@ -87,10 +88,11 @@ class ShardedEvaluator {
 
   /// Streams every document of `corpus` through the whole query bank,
   /// sharded across the worker threads, and returns per-document results
-  /// in corpus order. `alphabet` is copied per worker (streaming interns
-  /// new element names); the caller's instance is not touched. With
-  /// `track_matches`, per-query first-accept positions are recorded
-  /// (costs an accept-bitset diff per position).
+  /// in corpus order. Every worker resolves names read-only against
+  /// `alphabet` (no copy; a name it lacks takes the catch-all), which
+  /// must cover the symbol space (size() >= num_symbols, checked by each
+  /// worker's RunAll). With `track_matches`, per-query first-accept
+  /// positions are recorded (costs an accept-bitset diff per position).
   std::vector<DocResult> EvaluateCorpus(const std::vector<std::string>& corpus,
                                         const Alphabet& alphabet,
                                         bool track_matches);

@@ -1,6 +1,6 @@
 #include "trace/trace.h"
 
-#include <cctype>
+#include <string_view>
 
 #include "obs/stats.h"
 #include "support/check.h"
@@ -14,56 +14,50 @@ bool TraceTokenStream::Next(TaggedSymbol* out) {
     if (tally_.enabled()) tally_.OnReturn();
     return true;
   }
-  const std::string& text = text_;
-  while (pos_ < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos_]))) {
-    ++pos_;
-  }
-  if (pos_ >= text.size()) {
+  const char* const data = text_.data();
+  const size_t size = text_.size();
+  while (pos_ < size && IsByte(data[pos_], kSpaceByte)) ++pos_;
+  if (pos_ >= size) {
     tally_.Flush(pos_);  // end of input: tallies become visible to the sink
     return false;
   }
-  size_t start = pos_;
-  while (pos_ < text.size() &&
-         !std::isspace(static_cast<unsigned char>(text[pos_]))) {
-    ++pos_;
-  }
-  size_t len = pos_ - start;
-  bool call = text[start] == '<';
-  bool ret = text[pos_ - 1] == '>';
+  const size_t start = pos_;
+  while (pos_ < size && !IsByte(data[pos_], kSpaceByte)) ++pos_;
+  const std::string_view token(data + start, pos_ - start);
+  const size_t len = token.size();
+  const bool call = token.front() == '<';
+  const bool ret = token.back() == '>';
   if (call && ret && len > 2) {
     // `<f>`: a self-contained frame — call now, return queued (the XML
     // self-closing-tag analog).
-    Symbol s = alphabet_->Intern(text.substr(start + 1, len - 2));
+    Symbol s = resolve_(token.substr(1, len - 2));
     queued_return_ = s;
     if (tally_.enabled()) tally_.OnCall();
     *out = Call(s);
     return true;
   }
   if (call && len > 1) {
-    Symbol s = alphabet_->Intern(text.substr(start + 1, len - 1));
+    Symbol s = resolve_(token.substr(1));
     if (tally_.enabled()) tally_.OnCall();
     *out = Call(s);
     return true;
   }
   if (ret && len > 1) {
-    Symbol s = alphabet_->Intern(text.substr(start, len - 1));
+    Symbol s = resolve_(token.substr(0, len - 1));
     if (tally_.enabled()) tally_.OnReturn();
     *out = Return(s);
     return true;
   }
   if (call || ret) {
     // A lone `<` or `>` names nothing: a garbage internal, not a frame.
-    if (text_sym_ == Alphabet::kNoSymbol) {
-      text_sym_ = alphabet_->Intern("#text");
-    }
+    if (text_sym_ == Alphabet::kNoSymbol) text_sym_ = resolve_("#text");
     if (tally_.enabled()) tally_.OnInternal();
     *out = Internal(text_sym_);
     return true;
   }
   // An internal event carries its own symbol — that is what event-level
   // atoms (`balanced acquire release`) step on.
-  Symbol s = alphabet_->Intern(text.substr(start, len));
+  Symbol s = resolve_(token);
   if (tally_.enabled()) tally_.OnInternal();
   *out = Internal(s);
   return true;

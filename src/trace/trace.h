@@ -26,15 +26,24 @@
 namespace nw {
 
 /// Incremental pull tokenizer over call/return event logs — one
-/// instantiation of the TokenStream concept (stream/token_stream.h).
-/// Event names are interned into `*alphabet`.
+/// instantiation of the TokenStream concept (stream/token_stream.h). It
+/// scans a whitespace-delimited token at a time through the shared byte
+/// table and resolves the event name as a view into the log, so Next()
+/// allocates only to intern a new name. The interning constructor adds
+/// new event names to `*alphabet`; the read-only one looks them up in
+/// `alphabet` (a name it lacks takes the catch-all).
 class TraceTokenStream {
  public:
-  /// `text` and `alphabet` must outlive the stream.
+  /// Interning: new event names are added to `*alphabet`. `text` and
+  /// `alphabet` must outlive the stream.
   TraceTokenStream(const std::string& text, Alphabet* alphabet)
-      : text_(text), alphabet_(alphabet) {}
+      : text_(text), resolve_(alphabet) {}
+  /// Read-only: names resolve against `alphabet`, which is never written.
+  TraceTokenStream(const std::string& text, const Alphabet& alphabet)
+      : text_(text), resolve_(alphabet) {}
   /// The stream reads `text` incrementally; a temporary would dangle.
   TraceTokenStream(std::string&& text, Alphabet* alphabet) = delete;
+  TraceTokenStream(std::string&& text, const Alphabet& alphabet) = delete;
   /// Flushes tallies to the stats sink if one is attached.
   ~TraceTokenStream() { tally_.Flush(pos_); }
 
@@ -52,9 +61,9 @@ class TraceTokenStream {
 
  private:
   const std::string& text_;
-  Alphabet* alphabet_;
+  NameResolver resolve_;
   size_t pos_ = 0;
-  /// "#text" symbol for degenerate tokens, interned lazily.
+  /// "#text" symbol for degenerate tokens, resolved lazily.
   Symbol text_sym_ = Alphabet::kNoSymbol;
   /// Return queued behind a self-contained `<f>` frame's call.
   Symbol queued_return_ = Alphabet::kNoSymbol;

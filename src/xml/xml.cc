@@ -1,6 +1,7 @@
 #include "xml/xml.h"
 
-#include <cctype>
+#include <cstring>
+#include <string_view>
 
 #include "obs/stats.h"
 #include "support/check.h"
@@ -13,6 +14,43 @@ XmlTokenStream::~XmlTokenStream() {
   tally_.Flush(pos_);
 }
 
+Symbol XmlTokenStream::TextSym() {
+  if (text_sym_ == Alphabet::kNoSymbol) text_sym_ = resolve_("#text");
+  return text_sym_;
+}
+
+bool XmlTokenStream::SkipMarkup() {
+  // Comments, doctype declarations, and processing instructions are not
+  // elements: skip them wholesale so a '/' or '>' inside (URLs, "a > b")
+  // cannot fabricate calls or returns.
+  const std::string_view text = text_;
+  if (text.compare(pos_, 4, "<!--") == 0) {
+    size_t end = text.find("-->", pos_ + 4);
+    pos_ = end == std::string_view::npos ? text.size() : end + 3;
+    return false;
+  }
+  if (text.compare(pos_, 9, "<![CDATA[") == 0) {
+    // CDATA is character data (SAX semantics): a non-empty body is a
+    // text chunk, never markup.
+    size_t body = pos_ + 9;
+    size_t end = text.find("]]>", body);
+    pos_ = end == std::string_view::npos ? text.size() : end + 3;
+    return (end == std::string_view::npos ? text.size() : end) > body;
+  }
+  // Doctype / PI: end at '>' — but a DOCTYPE internal subset ([...]) may
+  // itself contain markup, so only a '>' outside the brackets terminates
+  // the construct.
+  size_t j = pos_ + 2;
+  int brackets = 0;
+  while (j < text.size() && (text[j] != '>' || brackets > 0)) {
+    brackets += text[j] == '[';
+    brackets -= text[j] == ']';
+    ++j;
+  }
+  pos_ = j < text.size() ? j + 1 : text.size();
+  return false;
+}
+
 bool XmlTokenStream::Next(TaggedSymbol* out) {
   if (queued_return_ != Alphabet::kNoSymbol) {
     *out = Return(queued_return_);
@@ -20,100 +58,65 @@ bool XmlTokenStream::Next(TaggedSymbol* out) {
     if (tally_.enabled()) tally_.OnReturn();
     return true;
   }
-  const std::string& text = text_;
+  const char* const data = text_.data();
+  const size_t size = text_.size();
+  // Offset of the first '>' at or after `from`, or `size` when none.
+  auto find_gt = [&](size_t from) {
+    const void* gt = std::memchr(data + from, '>', size - from);
+    return gt == nullptr ? size : static_cast<const char*>(gt) - data;
+  };
+  // The element name starting at `*pos`, advancing past it.
   auto read_name = [&](size_t* pos) {
     size_t start = *pos;
-    while (*pos < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[*pos])) ||
-            text[*pos] == '_' || text[*pos] == '-')) {
-      ++*pos;
-    }
-    return text.substr(start, *pos - start);
+    while (*pos < size && IsByte(data[*pos], kNameByte)) ++*pos;
+    return std::string_view(data + start, *pos - start);
   };
-  while (pos_ < text.size()) {
-    if (text[pos_] == '<') {
-      // Comments, doctype declarations, and processing instructions are
-      // not elements: skip them wholesale so a '/' or '>' inside (URLs,
-      // "a > b") cannot fabricate calls or returns.
-      if (pos_ + 1 < text.size() &&
-          (text[pos_ + 1] == '!' || text[pos_ + 1] == '?')) {
-        if (text.compare(pos_, 4, "<!--") == 0) {
-          size_t end = text.find("-->", pos_ + 4);
-          pos_ = end == std::string::npos ? text.size() : end + 3;
-        } else if (text.compare(pos_, 9, "<![CDATA[") == 0) {
-          // CDATA is character data (SAX semantics): a non-empty body is
-          // a text chunk, never markup.
-          size_t body = pos_ + 9;
-          size_t end = text.find("]]>", body);
-          size_t body_end = end == std::string::npos ? text.size() : end;
-          pos_ = end == std::string::npos ? text.size() : end + 3;
-          if (body_end > body) {
-            if (text_sym_ == Alphabet::kNoSymbol) {
-              text_sym_ = alphabet_->Intern("#text");
-            }
-            if (tally_.enabled()) tally_.OnInternal();
-            *out = Internal(text_sym_);
-            return true;
-          }
-        } else {
-          // Doctype / PI: end at '>' — but a DOCTYPE internal subset
-          // ([...]) may itself contain markup, so only a '>' outside the
-          // brackets terminates the construct.
-          size_t j = pos_ + 2;
-          int brackets = 0;
-          while (j < text.size() &&
-                 (text[j] != '>' || brackets > 0)) {
-            brackets += text[j] == '[';
-            brackets -= text[j] == ']';
-            ++j;
-          }
-          pos_ = j < text.size() ? j + 1 : text.size();
+  while (pos_ < size) {
+    if (data[pos_] == '<') {
+      if (pos_ + 1 < size && (data[pos_ + 1] == '!' || data[pos_ + 1] == '?')) {
+        if (SkipMarkup()) {
+          if (tally_.enabled()) tally_.OnInternal();
+          *out = Internal(TextSym());
+          return true;
         }
         continue;
       }
-      if (pos_ + 1 < text.size() && text[pos_ + 1] == '/') {
+      if (pos_ + 1 < size && data[pos_ + 1] == '/') {
         size_t j = pos_ + 2;
-        std::string name = read_name(&j);
-        while (j < text.size() && text[j] != '>') ++j;
-        if (j < text.size()) ++j;
-        pos_ = j;
+        std::string_view name = read_name(&j);
+        size_t gt = find_gt(j);
+        pos_ = gt < size ? gt + 1 : size;
         if (tally_.enabled()) tally_.OnReturn();
-        *out = Return(alphabet_->Intern(name));
+        *out = Return(resolve_(name));
         return true;
       }
       size_t j = pos_ + 1;
-      std::string name = read_name(&j);
-      // Self-closing only when the '/' immediately precedes '>' — a '/'
-      // inside an attribute value (<a href="x/y">) does not count.
-      bool self_closing = false;
-      while (j < text.size() && text[j] != '>') {
-        self_closing = text[j] == '/';
-        ++j;
-      }
-      if (j < text.size()) ++j;
-      pos_ = j;
-      Symbol s = alphabet_->Intern(name);
+      std::string_view name = read_name(&j);
+      // Self-closing only when the '/' immediately precedes '>' (or the
+      // end of an unterminated tag) — a '/' inside an attribute value
+      // (<a href="x/y">) does not count.
+      size_t gt = find_gt(j);
+      bool self_closing = gt > j && data[gt - 1] == '/';
+      pos_ = gt < size ? gt + 1 : size;
+      Symbol s = resolve_(name);
       if (self_closing) queued_return_ = s;
       if (tally_.enabled()) tally_.OnCall();
       *out = Call(s);
       return true;
     }
+    // A text run: a chunk unless it is all whitespace. Only its leading
+    // whitespace is tested byte by byte; memchr finds the '<' ending it.
     size_t j = pos_;
-    bool nonspace = false;
-    while (j < text.size() && text[j] != '<') {
-      nonspace =
-          nonspace || !std::isspace(static_cast<unsigned char>(text[j]));
-      ++j;
+    while (j < size && IsByte(data[j], kSpaceByte)) ++j;
+    if (j == size || data[j] == '<') {
+      pos_ = j;
+      continue;
     }
-    pos_ = j;
-    if (nonspace) {
-      if (text_sym_ == Alphabet::kNoSymbol) {
-        text_sym_ = alphabet_->Intern("#text");
-      }
-      if (tally_.enabled()) tally_.OnInternal();
-      *out = Internal(text_sym_);
-      return true;
-    }
+    const void* lt = std::memchr(data + j, '<', size - j);
+    pos_ = lt == nullptr ? size : static_cast<const char*>(lt) - data;
+    if (tally_.enabled()) tally_.OnInternal();
+    *out = Internal(TextSym());
+    return true;
   }
   tally_.Flush(pos_);  // end of input: tallies become visible to the sink
   return false;

@@ -21,21 +21,33 @@ namespace nw {
 /// Incremental pull tokenizer over SAX-style XML text. Yields one tagged
 /// position at a time so consumers (NwaRunner, the query engine) can
 /// stream a document with memory bounded by its depth instead of its
-/// length. Element names are interned into `*alphabet`; text chunks intern
-/// the pseudo-symbol "#text" lazily — a document with no text chunks never
-/// allocates it. Attributes are skipped; self-closing tags (`<a/>`) emit a
-/// call immediately followed by a return; malformed input never fails —
-/// stray close tags become pending returns, unclosed opens pending calls.
+/// length. It scans a run at a time — memchr finds the `<` that ends a
+/// text run and the `>` that ends a tag — and resolves each element name
+/// as a view into the document, so Next() allocates only to intern a
+/// new name: the interning constructor adds new names to `*alphabet`,
+/// the read-only one looks them up in `alphabet` (a name it lacks takes
+/// the catch-all; see NameResolver in stream/token_stream.h). Text
+/// chunks resolve the pseudo-symbol "#text" lazily — a document with no
+/// text chunks never interns it. Attributes are skipped; self-closing
+/// tags (`<a/>`) emit a call immediately followed by a return; malformed
+/// input never fails — stray close tags become pending returns, unclosed
+/// opens pending calls.
 ///
 /// One instantiation of the TokenStream concept (stream/token_stream.h);
 /// json/json.h and trace/trace.h are the others.
 class XmlTokenStream {
  public:
-  /// `text` and `alphabet` must outlive the stream.
+  /// Interning: new element names are added to `*alphabet`. `text` and
+  /// `alphabet` must outlive the stream.
   XmlTokenStream(const std::string& text, Alphabet* alphabet)
-      : text_(text), alphabet_(alphabet) {}
+      : text_(text), resolve_(alphabet) {}
+  /// Read-only: names resolve against `alphabet`, which is never
+  /// written, so any number of streams may share it across threads.
+  XmlTokenStream(const std::string& text, const Alphabet& alphabet)
+      : text_(text), resolve_(alphabet) {}
   /// The stream reads `text` incrementally; a temporary would dangle.
   XmlTokenStream(std::string&& text, Alphabet* alphabet) = delete;
+  XmlTokenStream(std::string&& text, const Alphabet& alphabet) = delete;
   /// Flushes tallies to the stats sink if one is attached (see Flush).
   ~XmlTokenStream();
 
@@ -59,10 +71,15 @@ class XmlTokenStream {
   size_t pos() const { return pos_; }
 
  private:
+  /// The "#text" symbol, resolved on first use and cached.
+  Symbol TextSym();
+  /// Skips the `<!…>` or `<?…>` construct at pos_; true when it was a
+  /// non-empty CDATA section, which is a text chunk.
+  bool SkipMarkup();
+
   const std::string& text_;
-  Alphabet* alphabet_;
+  NameResolver resolve_;
   size_t pos_ = 0;
-  /// "#text" symbol, interned on first use (lazy) and cached.
   Symbol text_sym_ = Alphabet::kNoSymbol;
   /// Return emitted right after a self-closing tag's call; kNoSymbol when
   /// none is queued.

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <map>
@@ -586,6 +588,75 @@ TEST(DaemonServerTest, ShutdownRequestStopsTheLoop) {
 
   // The socket file is gone — a restart binds fresh.
   EXPECT_NE(::access(server_options.socket_path.c_str(), F_OK), 0);
+}
+
+/// Reads one newline-terminated response.
+std::string ReadLine(int fd) {
+  std::string response;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') response += c;
+  return response;
+}
+
+/// A response without its `"latency_us":N` field, the one part that
+/// differs between two answers to the same request.
+std::string WithoutLatency(std::string response) {
+  size_t at = response.find("\"latency_us\":");
+  if (at == std::string::npos) return response;
+  size_t end = response.find_first_of(",}", at);
+  response.erase(at, end - at + (response[end] == ',' ? 1 : 0));
+  return response;
+}
+
+TEST(DaemonServerTest, RequestSplitAcrossManyWritesMatchesOneWrite) {
+  DaemonOptions options;
+  DaemonCore core({"//b", "/a/c", "a then b"}, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+
+  ServerOptions server_options;
+  server_options.socket_path = TempSocketPath("split");
+  DaemonServer server(&core, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread runner([&]() { server.Run(); });
+
+  // A ~20 KB SUBMIT line spans several of the server's 4 KB reads.
+  std::string doc;
+  for (int i = 0; i < 800; ++i) doc += i % 7 == 0 ? "<a><c/></a>" : "<z>t</z>";
+  doc += "<a><b/></a>";
+  const std::string line =
+      R"({"op":"SUBMIT","label":"split","doc":")" + doc + "\"}\n";
+
+  int whole = UnixConnect(server_options.socket_path);
+  ASSERT_GE(whole, 0);
+  ASSERT_EQ(::send(whole, line.data(), line.size(), 0),
+            static_cast<ssize_t>(line.size()));
+  const std::string expected = WithoutLatency(ReadLine(whole));
+  ASSERT_NE(expected.find(R"("ok":true)"), std::string::npos) << expected;
+  ASSERT_NE(expected.find(R"("match":true)"), std::string::npos) << expected;
+  ::close(whole);
+
+  // The same line twice more, in writes of 1 to 97 bytes with a pause
+  // every few writes so the server sees partial lines; one write carries
+  // the end of the first line and the start of the second.
+  int fd = UnixConnect(server_options.socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string twice = line + line;
+  size_t sent = 0;
+  for (size_t i = 0; sent < twice.size(); ++i) {
+    size_t n = std::min(twice.size() - sent, 1 + (i * 37) % 97);
+    ASSERT_EQ(::send(fd, twice.data() + sent, n, 0),
+              static_cast<ssize_t>(n));
+    sent += n;
+    if (i % 4 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(WithoutLatency(ReadLine(fd)), expected);
+  EXPECT_EQ(WithoutLatency(ReadLine(fd)), expected);
+  ::close(fd);
+
+  server.Stop();
+  runner.join();
+  core.DrainAndStop();
 }
 
 TEST(DaemonServerTest, SigtermDrainsWithoutDying) {

@@ -320,6 +320,10 @@ TEST(QueryEngine, StatsOnAndOffAreByteIdentical) {
   const size_t kSymbols = 4;
   Alphabet gen;
   for (const char* n : {"a", "b", "c"}) gen.Intern(n);
+  // The engines resolve names read-only, so their alphabet must cover
+  // the 4-symbol space: the element names plus "#text".
+  Alphabet sigma = gen;
+  sigma.Intern("#text");
   Nwa wf = WellFormedChecker(kSymbols);
   Nwa deep = MinDepthQuery(3, kSymbols);
   QueryEngine off(kSymbols), on(kSymbols);
@@ -339,9 +343,8 @@ TEST(QueryEngine, StatsOnAndOffAreByteIdentical) {
   size_t oracle_positions = 0;
   for (int d = 0; d < 8; ++d) {
     std::string doc = RandomXmlDocument(&rng, gen, 200 + d * 50, 4 + d);
-    Alphabet a_off = gen, a_on = gen;
-    std::vector<bool> r_off = off.RunAll(doc, &a_off);
-    std::vector<bool> r_on = on.RunAll(doc, &a_on);
+    std::vector<bool> r_off = off.RunAll(doc, &sigma);
+    std::vector<bool> r_on = on.RunAll(doc, &sigma);
     EXPECT_EQ(r_off, r_on) << "doc " << d;
     for (size_t q = 0; q < r_off.size(); ++q) {
       EXPECT_EQ(off.first_match(q), on.first_match(q)) << "doc " << d;
@@ -407,6 +410,67 @@ TEST(Tracer, WritesOneSpanLinePerScope) {
   EXPECT_NE(s.find("\"dur_us\":"), std::string::npos);
   EXPECT_EQ(std::fgets(line, sizeof(line), f), nullptr);  // exactly one
   std::fclose(f);
+  std::remove(path.c_str());
+}
+
+/// The whole content of `path`.
+std::string ReadAll(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return out;
+  char buf[512];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+TEST(Tracer, ChromeSpanKeepsEveryDigitOfLargeTimes) {
+  // A span at ts >= 1 s lasting >= 100 µs on a multi-digit shard: the
+  // numbers once overflowed a fixed 64-byte buffer and the tid rendered
+  // as `"tid":,`.
+  std::string path = testing::TempDir() + "/nw_trace_chrome_test.json";
+  std::remove(path.c_str());
+  {
+    Tracer tracer(path, TraceFormat::kChrome);
+    ASSERT_TRUE(tracer.ok());
+    tracer.WriteSpan("doc", "corpus/7", 12345678901, 9876543210,
+                     {{"shard", 17}, {"positions", 5}});
+  }
+  std::string s = ReadAll(path);
+  EXPECT_NE(s.find("\"ts\":12345678901,\"dur\":9876543210,\"pid\":1,"
+                   "\"tid\":17,\"args\":{\"label\":\"corpus/7\",\"shard\":17,"
+                   "\"positions\":5}}"),
+            std::string::npos)
+      << s;
+  std::remove(path.c_str());
+}
+
+TEST(Tracer, CounterLinesCarryTheSpanKeys) {
+  // Every JSONL line has name/label/start_us/dur_us, counter samples
+  // included: a counter sample is a zero-length span labelled by shard.
+  std::string path = testing::TempDir() + "/nw_trace_counters_test.jsonl";
+  std::remove(path.c_str());
+  StatsSink sink;
+  sink.engine_docs.Add(3);
+  sink.engine_positions.Add(120);
+  sink.frozen_hits.Add(100);
+  sink.frozen_misses.Add(20);
+  {
+    Tracer tracer(path);
+    ASSERT_TRUE(tracer.ok());
+    tracer.WriteCounters(4, sink);
+  }
+  std::string s = ReadAll(path);
+  EXPECT_EQ(s.find("{\"name\":\"counters\",\"label\":\"shard/4\","
+                   "\"start_us\":"),
+            0u)
+      << s;
+  EXPECT_NE(s.find(",\"dur_us\":0,\"shard\":4,\"docs\":3,\"positions\":120,"
+                   "\"frozen_hits\":100,\"frozen_misses\":20}\n"),
+            std::string::npos)
+      << s;
+  EXPECT_EQ(s.find("ts_us"), std::string::npos) << s;
   std::remove(path.c_str());
 }
 

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "nw/text.h"
+#include "query/engine.h"
+#include "serve/sharded.h"
+#include "stream/tree_gen.h"
+#include "support/rng.h"
 
 namespace nw {
 namespace {
@@ -189,6 +196,63 @@ TEST(Xml, RoundTripRendering) {
   NestedWord n2 = XmlToNestedWord(xml, &sigma2);
   ASSERT_EQ(n2.size(), n.size());
   for (size_t i = 0; i < n.size(); ++i) EXPECT_EQ(n2.kind(i), n.kind(i));
+}
+
+TEST(XmlFuzz, MutatedDocumentsNeverFailAndAlwaysRecompose) {
+  // The malformed-input contract under a seeded mutation fuzzer
+  // (truncations; inserted '<', '>', '/', '"', '\\', ':'; NUL and bytes
+  // >= 0x80): every byte string tokenizes, the cursor reaches the end
+  // through both constructors, SplitTopLevel chunks concatenate back to
+  // the input, and the engine streams it without fault.
+  Alphabet sigma({"a", "b", "c", "#text", "%other"});
+  Nwa wf = WellFormedChecker(sigma.size());
+  Nwa deep = MinDepthQuery(3, sigma.size());
+  QueryEngine engine(sigma.size());
+  engine.set_other_symbol(sigma.Find("%other"));
+  engine.Add(&wf);
+  engine.Add(&deep);
+  const char kInserts[] = {'<', '>', '/', '"', '\\', ':', '\0', '\x80',
+                           '\xff', '!', '?', '-', '['};
+  Rng rng(4242);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<TreeNode> forest =
+        RandomForest(&rng, {"a", "b", "c", "dd"}, 10 + rng.Below(80), 6);
+    std::string doc = RenderXml(forest);
+    if (rng.Chance(1, 3)) doc.insert(0, "<?xml v?><!DOCTYPE d [<!x>]>");
+    for (size_t e = 1 + rng.Below(6); e > 0 && !doc.empty(); --e) {
+      size_t at = rng.Below(doc.size());
+      char c = kInserts[rng.Below(sizeof(kInserts))];
+      switch (rng.Below(4)) {
+        case 0:
+          doc[at] = c;
+          break;
+        case 1:
+          doc.insert(at, 1, c);
+          break;
+        case 2:
+          doc.erase(at, 1 + rng.Below(3));
+          break;
+        case 3:
+          doc.resize(at);  // truncation
+          break;
+      }
+    }
+    Alphabet scratch;
+    XmlTokenStream interning(doc, &scratch);
+    XmlTokenStream read_only(doc, sigma);
+    TaggedSymbol t;
+    size_t tokens = 0;
+    while (interning.Next(&t)) ++tokens;
+    while (read_only.Next(&t)) {
+    }
+    EXPECT_EQ(interning.pos(), doc.size());
+    EXPECT_EQ(read_only.pos(), doc.size());
+    EXPECT_LE(tokens, doc.size());
+    std::string cat;
+    for (const std::string& chunk : SplitTopLevel(doc)) cat += chunk;
+    EXPECT_EQ(cat, doc);
+    engine.RunAll(doc, &sigma);
+  }
 }
 
 }  // namespace
