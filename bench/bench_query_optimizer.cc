@@ -1,10 +1,12 @@
 // E-OPT — the NWOpt optimizer subsystem's two headline claims:
 //
-//  1. State reduction: the PR-1 compiler round-trips boolean connectives
-//     through Nnwa closure + determinization and blows `not`-heavy
-//     queries up to hundreds of states; algebraic rewrites and congruence
-//     minimization win back the succinctness (acceptance bar: ≥5× on the
-//     `not`-heavy family after minimization, pinned by tests/opt_test.cc).
+//  1. State reduction: the determinizing lowering the compiler used to
+//     run (tests/reference_compile.h: Nnwa closure ops + determinization)
+//     blows `not`-heavy queries up to hundreds of states, and congruence
+//     minimization wins back the succinctness (acceptance bar: ≥5× on the
+//     `not`-heavy family, pinned by tests/opt_test.cc). The table sets the
+//     compiler's deterministic products beside it: minimized, each member
+//     must be no larger than the minimized reference.
 //  2. Shared-bank stepping: compiling the whole bank into one product
 //     automaton lets the engine step ONE transition table per position
 //     instead of K; the throughput table sweeps K ∈ {1, 16, 64} against
@@ -20,7 +22,6 @@
 #include "opt/bank.h"
 #include "opt/minimize.h"
 #include "opt/pipeline.h"
-#include "opt/rewrite.h"
 #include "query/compile.h"
 #include "query/engine.h"
 #include "query/nwquery.h"
@@ -29,12 +30,16 @@
 #include "support/table.h"
 #include "xml/xml.h"
 
+// The determinizing lowering lives with the tests it is the oracle for.
+#include "../tests/reference_compile.h"
+
 namespace {
 
 using namespace nw;
 
-// The `not`-heavy family of the tests' regression, plus friends: every
-// query pays the ComplementN → Determinize round trip at least once.
+// The `not`-heavy family of the tests' regression, plus friends: through
+// the reference lowering, every query pays the ComplementN → Determinize
+// round trip at least once.
 const char* kNotHeavyFamily[] = {
     "not //b",
     "not (a then b)",
@@ -44,12 +49,16 @@ const char* kNotHeavyFamily[] = {
     "not (/a/b and not //c) and not //d",
 };
 
-/// States-before/after and per-stage compile time for each family member.
+/// Each family member through the reference lowering and through the
+/// compiler's products: state counts before/after minimization (`all` is
+/// the whole --opt=all pipeline: rewrite, product, minimize) and the
+/// time each compile takes.
 void MinimizationTable(const BenchConfig& cfg, BenchReport* report) {
-  Table t("E-OPT: rewrite + minimization on the not-heavy family");
-  t.Header({"query", "compiled", "rewritten", "minimized", "all", "ratio",
-            "compile_ms", "opt_ms"});
-  size_t total_before = 0, total_after = 0;
+  Table t("E-OPT: minimization on the not-heavy family, reference lowering "
+          "vs deterministic product");
+  t.Header({"query", "reference", "ref_min", "ratio", "product",
+            "product_min", "all", "ref_ms", "product_ms"});
+  size_t total_before = 0, total_after = 0, product_total = 0;
   for (const char* text : kNotHeavyFamily) {
     Alphabet sigma;
     for (const char* n : {"a", "b", "c", "d", "#text", "%other"}) {
@@ -57,33 +66,38 @@ void MinimizationTable(const BenchConfig& cfg, BenchReport* report) {
     }
     Query q = ParseQuery(text, &sigma).Take();
     Stopwatch sw;
-    Nwa compiled = CompileQuery(q, sigma.size());
-    double compile_ms = sw.ElapsedMs();
+    Nwa reference = reference::CompileQuery(q, sigma.size());
+    double ref_ms = sw.ElapsedMs();
+    MinimizeResult ref_min = MinimizeNwa(reference);
     sw.Reset();
-    Query rewritten = RewriteQuery(q);
-    Nwa rewritten_nwa = CompileQuery(rewritten, sigma.size());
-    MinimizeResult min_only = MinimizeNwa(compiled);
-    MinimizeResult all = MinimizeNwa(rewritten_nwa);
-    double opt_ms = sw.ElapsedMs();
-    total_before += compiled.num_states();
-    total_after += min_only.states_after;
-    t.Row({text, Table::Num(compiled.num_states()),
-           Table::Num(rewritten_nwa.num_states()),
-           Table::Num(min_only.states_after), Table::Num(all.states_after),
-           Table::Dbl(static_cast<double>(compiled.num_states()) /
-                          static_cast<double>(min_only.states_after),
+    Nwa product = CompileQuery(q, sigma.size());
+    double product_ms = sw.ElapsedMs();
+    MinimizeResult product_min = MinimizeNwa(product);
+    OptimizedQuery all = CompileOptimized(q, sigma.size(), OptOptions::All());
+    // The product never needs more states than the reference, minimized.
+    NW_CHECK(product_min.states_after <= ref_min.states_after);
+    total_before += reference.num_states();
+    total_after += ref_min.states_after;
+    product_total += product_min.states_after;
+    t.Row({text, Table::Num(reference.num_states()),
+           Table::Num(ref_min.states_after),
+           Table::Dbl(static_cast<double>(reference.num_states()) /
+                          static_cast<double>(ref_min.states_after),
                       1),
-           Table::Dbl(compile_ms, 1), Table::Dbl(opt_ms, 1)});
+           Table::Num(product.num_states()),
+           Table::Num(product_min.states_after), Table::Num(all.states_final),
+           Table::Dbl(ref_ms, 1), Table::Dbl(product_ms, 2)});
   }
-  t.Row({"TOTAL", Table::Num(total_before), "-", Table::Num(total_after), "-",
+  t.Row({"TOTAL", Table::Num(total_before), Table::Num(total_after),
          Table::Dbl(static_cast<double>(total_before) /
                         static_cast<double>(total_after),
                     1),
-         "-", "-"});
+         "-", Table::Num(product_total), "-", "-", "-"});
   if (cfg.print()) t.Print();
   report->Metric("minimization_ratio",
                  static_cast<double>(total_before) /
                      static_cast<double>(total_after));
+  report->Metric("product_family_states", static_cast<double>(product_total));
   // The state-count bar holds at any workload size (it is not a timing),
   // so quick mode asserts it too.
   NW_CHECK(total_before >= 5 * total_after);  // the acceptance bar

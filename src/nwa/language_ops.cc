@@ -2,6 +2,9 @@
 
 #include "nwa/language_ops.h"
 
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "nwa/determinize.h"
@@ -97,6 +100,179 @@ Nwa Complement(const Nnwa& a) {
 }
 
 Nnwa ComplementN(const Nnwa& a) { return Nnwa::FromNwa(Complement(a)); }
+
+namespace {
+
+/// Connective applied by BooleanProduct; kNot ignores the second operand.
+enum class Connective { kAnd, kOr, kNot };
+
+/// The synchronous product of `a` and `b` (of `a` alone for kNot), with
+/// finals from `op`. A product state is a pair of operand states, where
+/// kNoState stands for an operand's sink: a missing transition moves that
+/// component there for good, exactly as if the operand had been totalized
+/// first. Pairs the connective has settled false are left out.
+///
+/// Return rules follow the (run state, frame) combinations a run can meet:
+/// a frame's context collects the run states seen while it is on top of
+/// the stack, and a return from a context lands in the contexts of the
+/// frame's pushers. Every other combination is a don't-care; in products
+/// of modest size it gets the rule the full product would have wherever
+/// that rule lands on a pair the product already has, so no state is added
+/// for it, and the minimizer can still merge states that differ only
+/// there.
+Nwa BooleanProduct(const Nwa& a, const Nwa* b, Connective op) {
+  NW_CHECK(b == nullptr || a.num_symbols() == b->num_symbols());
+  const size_t k = a.num_symbols();
+  auto accepts = [](const Nwa& x, StateId p) {
+    return p != kNoState && x.is_final(p);
+  };
+  auto is_final = [&](StateId p, StateId q) {
+    switch (op) {
+      case Connective::kAnd: return accepts(a, p) && accepts(*b, q);
+      case Connective::kOr: return accepts(a, p) || accepts(*b, q);
+      case Connective::kNot: return !accepts(a, p);
+    }
+    __builtin_unreachable();
+  };
+  auto settled_false = [&](StateId p, StateId q) {
+    switch (op) {
+      case Connective::kAnd: return p == kNoState || q == kNoState;
+      case Connective::kOr: return p == kNoState && q == kNoState;
+      case Connective::kNot: return false;
+    }
+    __builtin_unreachable();
+  };
+  auto key = [](StateId x, StateId y) {
+    return (static_cast<uint64_t>(x) << 32) | y;
+  };
+
+  Nwa out(k);
+  std::unordered_map<uint64_t, StateId> ids;
+  std::vector<std::pair<StateId, StateId>> pairs;  // product state -> pair
+  auto intern = [&](StateId p, StateId q) {
+    if (settled_false(p, q)) return kNoState;
+    auto [it, fresh] =
+        ids.try_emplace(key(p, q), static_cast<StateId>(pairs.size()));
+    if (fresh) {
+      pairs.emplace_back(p, q);
+      out.AddState(is_final(p, q));
+    }
+    return it->second;
+  };
+  // Applies `step` to the second operand, or yields its (absent) sink.
+  auto on_b = [b](auto step) { return b == nullptr ? kNoState : step(*b); };
+  auto return_pair = [&](StateId s, StateId h, Symbol c) {
+    auto [p, q] = pairs[s];
+    auto [hp, hq] = pairs[h];
+    auto ret = [c](const Nwa& x, StateId r, StateId f) {
+      return r == kNoState || f == kNoState ? kNoState : x.NextReturn(r, f, c);
+    };
+    return std::make_pair(ret(a, p, hp),
+                          on_b([&](const Nwa& x) { return ret(x, q, hq); }));
+  };
+
+  const StateId initial =
+      intern(a.initial(), on_b([](const Nwa& x) { return x.initial(); }));
+  const StateId hier_initial = intern(
+      a.hier_initial(), on_b([](const Nwa& x) { return x.hier_initial(); }));
+  NW_CHECK(initial != kNoState && hier_initial != kNoState);
+  out.set_initial(initial);
+  out.set_hier_initial(hier_initial);
+
+  // Contexts are keyed by the frame on top of the stack; kNoState keys the
+  // top level, whose (pending) returns read hier_initial and stay there.
+  struct Context {
+    std::vector<StateId> members;  // run states met under this frame
+    std::vector<StateId> pushers;  // contexts that push this frame
+  };
+  std::unordered_map<StateId, Context> contexts;
+  std::unordered_set<uint64_t> met, pushed;  // keys of members, pushers
+  std::vector<std::pair<StateId, StateId>> work;  // (context, run state)
+  auto enter = [&](StateId ctx, StateId s) {
+    if (!met.insert(key(ctx, s)).second) return;
+    contexts[ctx].members.push_back(s);
+    work.emplace_back(ctx, s);
+  };
+  // Returns from run state `s` under context `ctx` land in `to`.
+  auto pop = [&](StateId s, StateId ctx, StateId to) {
+    const StateId h = ctx == kNoState ? hier_initial : ctx;
+    for (Symbol c = 0; c < k; ++c) {
+      auto [p, q] = return_pair(s, h, c);
+      StateId t = intern(p, q);
+      if (t == kNoState) continue;
+      out.SetReturn(s, h, c, t);
+      enter(to, t);
+    }
+  };
+
+  contexts[kNoState].pushers.push_back(kNoState);
+  enter(kNoState, initial);
+  while (!work.empty()) {
+    auto [ctx, s] = work.back();
+    work.pop_back();
+    auto [p, q] = pairs[s];
+    for (Symbol c = 0; c < k; ++c) {
+      StateId t = intern(a.StepInternal(p, c), on_b([&](const Nwa& x) {
+                           return x.StepInternal(q, c);
+                         }));
+      if (t != kNoState) {
+        out.SetInternal(s, c, t);
+        enter(ctx, t);
+      }
+      StateId hp = kNoState, hq = kNoState;
+      StateId lp = a.StepCall(p, c, &hp);
+      StateId lq = on_b([&](const Nwa& x) { return x.StepCall(q, c, &hq); });
+      StateId next = intern(lp, lq);
+      if (next == kNoState) continue;
+      // A live call pair pushes a live frame pair: every component that
+      // survives the call pushes its frame.
+      StateId frame = intern(hp, hq);
+      out.SetCall(s, c, next, frame);
+      enter(frame, next);
+      if (pushed.insert(key(frame, ctx)).second) {
+        contexts[frame].pushers.push_back(ctx);
+        for (size_t i = 0; i < contexts[frame].members.size(); ++i) {
+          pop(contexts[frame].members[i], frame, ctx);
+        }
+      }
+    }
+    for (size_t i = 0; i < contexts[ctx].pushers.size(); ++i) {
+      pop(s, ctx, contexts[ctx].pushers[i]);
+    }
+  }
+
+  std::vector<StateId> frames = {hier_initial};
+  for (const auto& [ctx, unused] : contexts) {
+    if (ctx != kNoState && ctx != hier_initial) frames.push_back(ctx);
+  }
+  // Filling the don't-cares looks up every (state, frame, symbol), which
+  // would make a large product (`depth >= 1000 and //a`) quadratic; only
+  // products within this many lookups get it.
+  constexpr size_t kFillBudget = size_t{1} << 20;
+  if (out.num_states() * frames.size() * k > kFillBudget) return out;
+  for (StateId s = 0; s < out.num_states(); ++s) {
+    for (StateId h : frames) {
+      for (Symbol c = 0; c < k; ++c) {
+        if (out.NextReturn(s, h, c) != kNoState) continue;
+        auto [p, q] = return_pair(s, h, c);
+        auto it = ids.find(key(p, q));
+        if (it != ids.end()) out.SetReturn(s, h, c, it->second);
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Nwa Product(const Nwa& a, const Nwa& b, ProductOp op) {
+  return BooleanProduct(
+      a, &b, op == ProductOp::kAnd ? Connective::kAnd : Connective::kOr);
+}
+
+Nwa Complement(const Nwa& a) {
+  return BooleanProduct(a, nullptr, Connective::kNot);
+}
 
 Nnwa Concat(const Nnwa& a, const Nnwa& b) {
   NW_CHECK(a.num_symbols() == b.num_symbols());

@@ -1,7 +1,10 @@
 // Minimization of deterministic nested word automata by partition
-// refinement — the optimizer's answer to the compiler's determinization
-// blow-up (ROADMAP item 1; paper §3.2's congruence view of deterministic
-// NWAs).
+// refinement (paper §3.2's congruence view of deterministic NWAs). It
+// shrinks the compiler's boolean products, which carry the states of
+// every operand pair a run can reach; it was written against the far
+// larger output of determinization, which the compiler no longer runs
+// (tests/reference_compile.h keeps that lowering as the test oracle and
+// as this pass's five-fold benchmark input).
 //
 // The pass computes a partition of the (reachable) state space that is a
 // *congruence* for all three transition kinds: two states merge only if

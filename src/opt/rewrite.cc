@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "support/check.h"
-
 namespace nw {
 
 namespace {
@@ -20,25 +18,6 @@ bool PathLess(const std::vector<PathStep>& a, const std::vector<PathStep>& b) {
                                       StepLess);
 }
 
-/// Negation normal form: `negate` tracks a pending outer `not`.
-Query ToNnf(const Query& q, bool negate) {
-  switch (q.op()) {
-    case Query::Op::kNot:
-      return ToNnf(q.left(), !negate);
-    case Query::Op::kAnd:
-      return negate ? Query::Or(ToNnf(q.left(), true), ToNnf(q.right(), true))
-                    : Query::And(ToNnf(q.left(), false),
-                                 ToNnf(q.right(), false));
-    case Query::Op::kOr:
-      return negate ? Query::And(ToNnf(q.left(), true),
-                                 ToNnf(q.right(), true))
-                    : Query::Or(ToNnf(q.left(), false),
-                                ToNnf(q.right(), false));
-    default:
-      return negate ? Query::Not(q) : q;
-  }
-}
-
 /// Collects the n-ary child list of a chain of `op` nodes, in order.
 void Flatten(const Query& q, Query::Op op, std::vector<Query>* out) {
   if (q.op() == op) {
@@ -49,14 +28,12 @@ void Flatten(const Query& q, Query::Op op, std::vector<Query>* out) {
   }
 }
 
-Query Normalize(const Query& q);
-
 /// Flatten + dedup + (for `or`) path fusion, then rebuild left-associated.
 Query NormalizeNary(const Query& q) {
   const Query::Op op = q.op();
   std::vector<Query> flat;
   Flatten(q, op, &flat);
-  for (Query& child : flat) child = Normalize(child);
+  for (Query& child : flat) child = RewriteQuery(child);
 
   std::vector<Query> children;
   for (const Query& child : flat) {
@@ -103,21 +80,18 @@ Query NormalizeNary(const Query& q) {
   return out;
 }
 
-Query Normalize(const Query& q) {
+}  // namespace
+
+Query RewriteQuery(const Query& q) {
   switch (q.op()) {
     case Query::Op::kAnd:
     case Query::Op::kOr:
       return NormalizeNary(q);
     case Query::Op::kNot:
-      // After NNF, `not` wraps an atom only; nothing below to normalize.
-      return q;
+      return Query::Not(RewriteQuery(q.left()));
     default:
       return q;
   }
 }
-
-}  // namespace
-
-Query RewriteQuery(const Query& q) { return Normalize(ToNnf(q, false)); }
 
 }  // namespace nw

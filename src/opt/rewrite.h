@@ -1,21 +1,22 @@
 // Algebraic query rewrites — AST-level optimization ahead of automaton
-// lowering (ROADMAP item 1). Three passes, applied in order:
+// lowering. Two passes, applied bottom-up:
 //
-//  1. Negation normal form: `not` is pushed inward through De Morgan
-//     (not(x and y) → not x or not y, dually for or) and double negations
-//     cancel, so the compiler's expensive ComplementN round trips happen
-//     only at atoms, never above a boolean connective.
-//  2. Flatten + dedup: chains of the same connective are flattened into
+//  1. Flatten + dedup: chains of the same connective are flattened into
 //     one child list and structurally equal children are dropped
 //     (x and x → x). Single survivors replace their connective.
-//  3. Path-atom fusion: sibling path atoms under an `or` merge into ONE
+//  2. Path-atom fusion: sibling path atoms under an `or` merge into ONE
 //     kPathSet atom. This is sound precisely for `or` — "some element's
 //     root path matches p1 OR some element's matches p2" is "some
 //     element's root path lies in L(p1) ∪ L(p2)" — and the union lowers
 //     through a single regex → DFA → NWA (compile.h), so paths sharing a
-//     step prefix share DFA states instead of multiplying through the
-//     nondeterministic closure ops. (Under `and` the witnesses may be
+//     step prefix share DFA states instead of multiplying through a
+//     product of per-path automata. (Under `and` the witnesses may be
 //     different elements, so no such fusion exists.)
+//
+// `not` stays where it stands: the compiler complements any automaton by
+// flipping its finals, so pushing negation inward would gain nothing. The
+// passes recurse beneath it, so `not (/a or /b)` becomes a `not` over one
+// fused kPathSet atom.
 //
 // Rewrites preserve the query language exactly; tests/opt_test.cc checks
 // this differentially against the unrewritten compilation and the oracle.

@@ -1,6 +1,5 @@
 #include "query/compile.h"
 
-#include "nwa/determinize.h"
 #include "nwa/language_ops.h"
 #include "support/check.h"
 #include "trace/trace.h"
@@ -36,12 +35,13 @@ void CheckSteps(const std::vector<PathStep>& steps, size_t num_symbols) {
   }
 }
 
-/// Shared tail of the path constructions: the NWA advances `d` (the DFA of
-/// the wanted root-path language) along the current ancestor chain — calls
-/// step it forward pushing the parent context on the hierarchical edge,
-/// returns restore it — and latches an accept state the moment some
-/// element's root path lands in the DFA's language.
-Nwa PathLanguageNwa(const Dfa& d, size_t num_symbols) {
+/// Shared tail of the path constructions: the NWA advances the word DFA of
+/// `paths` (the wanted root-path language) along the current ancestor
+/// chain — calls step it forward pushing the parent context on the
+/// hierarchical edge, returns restore it — and latches an accept state the
+/// moment some element's root path lands in the DFA's language.
+Nwa PathLanguageNwa(const Regex& paths, size_t num_symbols) {
+  const Dfa d = paths.Compile(num_symbols).Determinize().Totalize();
   // NWA state i mirrors DFA state i (the DFA state of the current
   // ancestor-name chain); one extra latch state records "some element
   // already matched".
@@ -76,9 +76,34 @@ Nwa PathLanguageNwa(const Dfa& d, size_t num_symbols) {
   return a;
 }
 
-/// Lowers a query atom to its deterministic automaton.
-Nwa CompileAtom(const Query& q, size_t num_symbols) {
+}  // namespace
+
+Nwa CompilePathNwa(const std::vector<PathStep>& steps, size_t num_symbols) {
+  CheckSteps(steps, num_symbols);
+  return PathLanguageNwa(PathRegex(steps, num_symbols), num_symbols);
+}
+
+Nwa CompilePathSetNwa(const std::vector<std::vector<PathStep>>& step_sets,
+                      size_t num_symbols) {
+  NW_CHECK(!step_sets.empty());
+  Regex r = Regex::Empty();
+  for (const auto& steps : step_sets) {
+    CheckSteps(steps, num_symbols);
+    r = Regex::Alt(std::move(r), PathRegex(steps, num_symbols));
+  }
+  return PathLanguageNwa(r, num_symbols);
+}
+
+Nwa CompileQuery(const Query& q, size_t num_symbols) {
   switch (q.op()) {
+    case Query::Op::kAnd:
+      return Product(CompileQuery(q.left(), num_symbols),
+                     CompileQuery(q.right(), num_symbols), ProductOp::kAnd);
+    case Query::Op::kOr:
+      return Product(CompileQuery(q.left(), num_symbols),
+                     CompileQuery(q.right(), num_symbols), ProductOp::kOr);
+    case Query::Op::kNot:
+      return Complement(CompileQuery(q.left(), num_symbols));
     case Query::Op::kPath:
       return CompilePathNwa(q.steps(), num_symbols);
     case Query::Op::kPathSet:
@@ -91,57 +116,8 @@ Nwa CompileAtom(const Query& q, size_t num_symbols) {
     case Query::Op::kBalanced:
       for (Symbol s : q.names()) NW_CHECK(s < num_symbols);
       return BalancedFrameQuery(q.names()[0], q.names()[1], num_symbols);
-    default:
-      NW_CHECK_MSG(false, "not an atom");
-      __builtin_unreachable();
   }
-}
-
-/// Recursive lowering to the nondeterministic representation the closure
-/// ops compose.
-Nnwa ToNnwa(const Query& q, size_t num_symbols) {
-  switch (q.op()) {
-    case Query::Op::kAnd:
-      return Intersect(ToNnwa(q.left(), num_symbols),
-                       ToNnwa(q.right(), num_symbols));
-    case Query::Op::kOr:
-      return Union(ToNnwa(q.left(), num_symbols),
-                   ToNnwa(q.right(), num_symbols));
-    case Query::Op::kNot:
-      return ComplementN(ToNnwa(q.left(), num_symbols));
-    default:
-      return Nnwa::FromNwa(CompileAtom(q, num_symbols));
-  }
-}
-
-}  // namespace
-
-Nwa CompilePathNwa(const std::vector<PathStep>& steps, size_t num_symbols) {
-  CheckSteps(steps, num_symbols);
-  Dfa d = PathRegex(steps, num_symbols)
-              .Compile(num_symbols)
-              .Determinize()
-              .Totalize();
-  return PathLanguageNwa(d, num_symbols);
-}
-
-Nwa CompilePathSetNwa(const std::vector<std::vector<PathStep>>& step_sets,
-                      size_t num_symbols) {
-  NW_CHECK(!step_sets.empty());
-  Regex r = Regex::Empty();
-  for (const auto& steps : step_sets) {
-    CheckSteps(steps, num_symbols);
-    r = Regex::Alt(std::move(r), PathRegex(steps, num_symbols));
-  }
-  Dfa d = r.Compile(num_symbols).Determinize().Totalize();
-  return PathLanguageNwa(d, num_symbols);
-}
-
-Nwa CompileQuery(const Query& q, size_t num_symbols) {
-  // Atoms are already deterministic; only boolean combinations pay for
-  // the closure-op round trip and determinization.
-  if (q.is_atom()) return CompileAtom(q, num_symbols);
-  return Determinize(ToNnwa(q, num_symbols)).nwa;
+  __builtin_unreachable();
 }
 
 }  // namespace nw

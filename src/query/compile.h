@@ -1,7 +1,9 @@
 // NWQuery → deterministic NWA compilation (paper §3.2): each query atom
 // becomes a small deterministic automaton over the tagged stream, and the
-// boolean connectives lower through the nondeterministic closure ops
-// (language_ops.h) followed by determinization (determinize.h).
+// boolean connectives keep it deterministic — `and`/`or` build the
+// synchronous product of their operands and `not` flips the finals of its
+// totalized operand (Product and Complement in language_ops.h). No subset
+// construction runs on the query path.
 //
 // Atom constructions:
 //  * Path atoms (/a//b/*) compile the root-path language to a word regex
@@ -37,8 +39,8 @@ Nwa CompilePathNwa(const std::vector<PathStep>& steps, size_t num_symbols);
 /// Path-set atom (Query::Op::kPathSet): one deterministic automaton for
 /// the UNION of the member path languages — the root-path regexes are
 /// alternated before the regex → DFA → NWA lowering, so merged sibling
-/// paths share DFA states along common prefixes instead of round-tripping
-/// through Nnwa union + determinization.
+/// paths share DFA states along common prefixes instead of multiplying
+/// through a product of per-path automata.
 Nwa CompilePathSetNwa(const std::vector<std::vector<PathStep>>& step_sets,
                       size_t num_symbols);
 

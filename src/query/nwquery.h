@@ -81,8 +81,7 @@ class Query {
     /// path matches ANY of the step vectors. Never produced by the parser;
     /// the optimizer's rewrite pass (opt/rewrite.h) merges `or`-sibling
     /// path atoms into this so the compiler lowers them through a single
-    /// regex → DFA → NWA instead of per-path automata unioned via the
-    /// nondeterministic closure ops.
+    /// regex → DFA → NWA instead of a product of per-path automata.
     kPathSet,
   };
 

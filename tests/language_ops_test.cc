@@ -7,6 +7,7 @@
 
 #include "nw/generate.h"
 #include "nw/ops.h"
+#include "nwa/determinize.h"
 #include "nwa/families.h"
 #include "support/rng.h"
 
@@ -119,6 +120,57 @@ TEST(LanguageOps, Complement) {
       lhs,
       [](const NestedWord& w) { return HasBOracle(w) && w.IsWellMatched(); },
       2, 6, /*max_len=*/8);
+}
+
+// L2 again, as a hand-built deterministic NWA that is deliberately
+// partial: a pending return reads a frame with no rules and kills the run.
+Nwa WellMatchedDet() {
+  Nwa d(2);
+  StateId empty = d.AddState(true);
+  StateId open = d.AddState(false);
+  StateId he = d.AddState(false);
+  StateId ho = d.AddState(false);
+  StateId bottom = d.AddState(false);
+  d.set_initial(empty);
+  d.set_hier_initial(bottom);
+  for (Symbol c : {0u, 1u}) {
+    d.SetInternal(empty, c, empty);
+    d.SetInternal(open, c, open);
+    d.SetCall(empty, c, open, he);
+    d.SetCall(open, c, open, ho);
+    d.SetReturn(open, he, c, empty);
+    d.SetReturn(open, ho, c, open);
+  }
+  return d;
+}
+
+TEST(LanguageOps, DeterministicProductAndComplement) {
+  // HasB is determinized only to get a deterministic operand; the product
+  // and the complement themselves never determinize. The partial operand
+  // must behave as its totalization: its death ends neither a union nor a
+  // complement.
+  Nwa has_b = Determinize(HasB()).nwa;
+  Nwa wm = WellMatchedDet();
+  ExpectLanguage(
+      Nnwa::FromNwa(wm), [](const NestedWord& w) { return w.IsWellMatched(); },
+      2, 7);
+  ExpectLanguage(
+      Nnwa::FromNwa(Product(has_b, wm, ProductOp::kAnd)),
+      [](const NestedWord& w) { return HasBOracle(w) && w.IsWellMatched(); },
+      2, 8);
+  ExpectLanguage(
+      Nnwa::FromNwa(Product(has_b, wm, ProductOp::kOr)),
+      [](const NestedWord& w) { return HasBOracle(w) || w.IsWellMatched(); },
+      2, 9);
+  ExpectLanguage(Nnwa::FromNwa(Complement(wm)),
+                 [](const NestedWord& w) { return !w.IsWellMatched(); }, 2,
+                 10);
+  // De Morgan spot check: ¬(¬L1 ∪ ¬L2) = L1 ∩ L2.
+  ExpectLanguage(
+      Nnwa::FromNwa(Complement(Product(Complement(has_b), Complement(wm),
+                                       ProductOp::kOr))),
+      [](const NestedWord& w) { return HasBOracle(w) && w.IsWellMatched(); },
+      2, 11);
 }
 
 TEST(LanguageOps, ConcatRematchesAcrossBoundary) {

@@ -3,19 +3,23 @@
 // (checked differentially against the unoptimized compilation and a naive
 // tree-walk oracle, over randomized queries and randomized well-formed AND
 // malformed documents), plus a regression pinning the state-count win on a
-// `not`-heavy query family and the engine's match-position tap.
+// `not`-heavy query family and the engine's match-position tap. The
+// compiler's deterministic products are also compared, word for word,
+// with the determinizing lowering they replaced (reference_compile.h).
 #include "opt/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "nw/generate.h"
 #include "opt/bank.h"
 #include "opt/minimize.h"
 #include "opt/rewrite.h"
 #include "query/compile.h"
 #include "query/engine.h"
 #include "query/nwquery.h"
+#include "reference_compile.h"
 #include "support/rng.h"
 #include "xml/xml.h"
 
@@ -188,21 +192,14 @@ Query RandomQuery(Rng* rng, const std::vector<Symbol>& names, int depth) {
   }
 }
 
-/// The kShapes queries compiled UNoptimized, once per test binary — the
-/// PR-1 compiler is the slow path under test here (that blow-up is the
-/// optimizer's whole reason to exist), so the differential tests share
-/// one compilation instead of each paying for it.
-const std::vector<Nwa>& CompiledShapes(const Alphabet& sigma) {
-  static const std::vector<Nwa>* cache = [&sigma] {
-    auto* out = new std::vector<Nwa>();
-    Alphabet local = sigma;
-    for (const char* text : kShapes) {
-      out->push_back(
-          CompileQuery(ParseQuery(text, &local).Take(), sigma.size()));
-    }
-    return out;
-  }();
-  return *cache;
+/// The kShapes queries compiled unoptimized.
+std::vector<Nwa> CompiledShapes(const Alphabet& sigma) {
+  std::vector<Nwa> out;
+  Alphabet local = sigma;
+  for (const char* text : kShapes) {
+    out.push_back(CompileQuery(ParseQuery(text, &local).Take(), sigma.size()));
+  }
+  return out;
 }
 
 /// A batch of random (possibly corrupted) documents over {a,b,c,d}.
@@ -234,15 +231,21 @@ std::string RewriteToText(const char* text, Alphabet* sigma) {
   return FormatQuery(RewriteQuery(q), *sigma);
 }
 
-TEST(OptRewrite, PushesNotInwardViaDeMorgan) {
+TEST(OptRewrite, FusesPathsUnderNot) {
+  // `not` stays where it stands, and the passes recurse beneath it: the
+  // disjunction under it fuses into one kPathSet atom.
   Alphabet sigma = QueryAlphabet();
-  EXPECT_EQ(RewriteToText("not (/a and //b)", &sigma), "not /a or not //b");
-  EXPECT_EQ(RewriteToText("not (/a or //b)", &sigma), "not /a and not //b");
-  EXPECT_EQ(RewriteToText("not (not //b)", &sigma), "//b");
-  EXPECT_EQ(RewriteToText("not (not (not //b))", &sigma), "not //b");
-  // De Morgan recurses through alternating connectives.
-  EXPECT_EQ(RewriteToText("not (/a and (depth >= 2 or not //b))", &sigma),
-            "not /a or not depth >= 2 and //b");
+  Query q = RewriteQuery(ParseQuery("not (/a or /b)", &sigma).Take());
+  ASSERT_EQ(q.op(), Query::Op::kNot);
+  ASSERT_EQ(q.left().op(), Query::Op::kPathSet);
+  EXPECT_EQ(q.left().step_sets().size(), 2u);
+  EXPECT_EQ(FormatQuery(q, sigma), "not (/a or /b)");
+  // No De Morgan: a conjunction under `not` is left as it is, and only
+  // its duplicate children go.
+  EXPECT_EQ(RewriteToText("not (/a and //b)", &sigma), "not (/a and //b)");
+  EXPECT_EQ(RewriteToText("not (/a and /a and //b)", &sigma),
+            "not (/a and //b)");
+  EXPECT_EQ(RewriteToText("not (not (//b or //b))", &sigma), "not not //b");
 }
 
 TEST(OptRewrite, FlattensAndDedups) {
@@ -352,7 +355,7 @@ TEST(OptPathSet, CompilesTheUnionLanguage) {
 TEST(OptMinimize, PreservesTheLanguageDifferentially) {
   Alphabet sigma = QueryAlphabet();
   Rng rng(2026);
-  const std::vector<Nwa>& compiled = CompiledShapes(sigma);
+  const std::vector<Nwa> compiled = CompiledShapes(sigma);
   std::vector<Query> queries;
   Alphabet scratch = sigma;
   for (const char* text : kShapes) {
@@ -368,15 +371,13 @@ TEST(OptMinimize, PreservesTheLanguageDifferentially) {
           << kShapes[i];
     }
   }
-  // Random queries go through the rewriter first (the unrewritten
-  // compilation of random `not` nests is the blow-up under optimization,
-  // not a test fixture worth minutes of CPU); minimization must preserve
-  // whatever automaton it is handed.
+  // Random queries, rewritten or not: minimization must preserve whatever
+  // automaton it is handed.
   std::vector<Symbol> names = {sigma.Find("a"), sigma.Find("b"),
                                sigma.Find("c")};
-  for (int i = 0; i < 15; ++i) {
+  for (int i = 0; i < 30; ++i) {
     Query q = RandomQuery(&rng, names, 2);
-    Nwa a = CompileQuery(RewriteQuery(q), sigma.size());
+    Nwa a = CompileQuery(i % 2 == 0 ? q : RewriteQuery(q), sigma.size());
     MinimizeResult m = MinimizeNwa(a);
     EXPECT_LE(m.states_after, a.num_states());
     for (const NestedWord& doc : docs) {
@@ -416,33 +417,143 @@ TEST(OptMinimize, CollapsesTheEmptyLanguage) {
   EXPECT_EQ(MinimizeNwa(unreachable).states_after, 1u);
 }
 
+/// The `not`-heavy family the minimizer's five-fold bar was set on, with
+/// each member's minimized size through the reference lowering and the
+/// product's own sizes.
+struct FamilyMember {
+  const char* text;
+  size_t reference_minimized;
+  size_t product_compiled;
+  size_t product_minimized;
+};
+const FamilyMember kNotHeavyFamily[] = {
+    {"not //b", 5, 3, 1},
+    {"not (/a/b or /a/c)", 14, 10, 3},
+    {"not (//b or (a then b))", 11, 7, 2},
+    {"not (/a/b and not //c) and not //d", 59, 19, 8},
+};
+
 TEST(OptMinimize, NotHeavyFamilyShrinksAtLeastFiveFold) {
-  // Regression for the optimizer's headline claim (ROADMAP item 1): the
-  // compiler's Nnwa-closure round trips blow `not`-heavy queries up to
-  // hundreds of states; congruence minimization alone must win back ≥5×
-  // on this family. The family is also exercised (with throughput) by
-  // bench/bench_query_optimizer.cc.
-  const char* family[] = {
-      "not //b",
-      "not (/a/b or /a/c)",
-      "not (//b or (a then b))",
-      "not (/a/b and not //c) and not //d",
-  };
+  // Regression for the minimizer's headline claim, on the input it was
+  // written for: the determinizing lowering (reference_compile.h) blows
+  // `not`-heavy queries up to hundreds of states, and congruence
+  // minimization alone must win back ≥5× on this family. The family is
+  // also exercised (with throughput) by bench/bench_query_optimizer.cc.
+  // The last member alone takes seconds and gigabytes to determinize.
   Alphabet sigma = QueryAlphabet();
   size_t before = 0, after = 0;
-  for (const char* text : family) {
-    Nwa compiled =
-        CompileQuery(ParseQuery(text, &sigma).Take(), sigma.size());
+  for (const FamilyMember& member : kNotHeavyFamily) {
+    Nwa compiled = reference::CompileQuery(
+        ParseQuery(member.text, &sigma).Take(), sigma.size());
     MinimizeResult m = MinimizeNwa(compiled);
     before += m.states_before;
     after += m.states_after;
+    // Pinned for ProductIsNoLargerThanTheReference. `not //b` needs one
+    // latch-ish live state plus small bookkeeping, not the 43 states
+    // determinization builds.
+    EXPECT_EQ(m.states_after, member.reference_minimized) << member.text;
   }
   EXPECT_GE(before, 5 * after)
       << "not-heavy family: " << before << " -> " << after;
-  // And the simplest member pins its exact minimal size: `not //b` needs
-  // one latch-ish live state plus small bookkeeping, not the compiler's 25.
-  Nwa nb = CompileQuery(ParseQuery("not //b", &sigma).Take(), sigma.size());
-  EXPECT_EQ(MinimizeNwa(nb).states_after, 5u);
+}
+
+TEST(OptMinimize, ProductIsNoLargerThanTheReference) {
+  // The compiler's own products on the same family, pinned: minimized,
+  // each is no larger than the minimized reference lowering, and `not //b`
+  // is the one live state the flipped path atom needs.
+  Alphabet sigma = QueryAlphabet();
+  for (const FamilyMember& member : kNotHeavyFamily) {
+    Nwa product =
+        CompileQuery(ParseQuery(member.text, &sigma).Take(), sigma.size());
+    MinimizeResult m = MinimizeNwa(product);
+    EXPECT_EQ(product.num_states(), member.product_compiled) << member.text;
+    EXPECT_EQ(m.states_after, member.product_minimized) << member.text;
+    EXPECT_LE(m.states_after, member.reference_minimized) << member.text;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Product construction against the determinizing lowering
+// ---------------------------------------------------------------------------
+
+/// Random formula over the symbols {0, 1, 2} with ≤ `depth` connectives:
+/// every atom kind (path, kPathSet, then, depth >=, balanced) can appear,
+/// and `not` can appear at every level.
+Query RandomFormula(Rng* rng, int depth) {
+  auto name = [&] { return static_cast<Symbol>(rng->Below(3)); };
+  auto path = [&] {
+    std::vector<PathStep> steps;
+    for (size_t i = 0, len = 1 + rng->Below(2); i < len; ++i) {
+      steps.push_back({rng->Chance(1, 2) ? Axis::kChild : Axis::kDescendant,
+                       rng->Chance(1, 5) ? Alphabet::kNoSymbol : name()});
+    }
+    return steps;
+  };
+  if (depth == 0 || rng->Chance(1, 3)) {
+    switch (rng->Below(5)) {
+      case 0:
+        return Query::Path(path());
+      case 1:
+        return Query::PathSet({path(), path()});
+      case 2:
+        return Query::Order({name(), name()});
+      case 3:
+        return Query::MinDepth(1 + rng->Below(3));
+      default: {
+        Symbol a = name();
+        return Query::Balanced(a, (a + 1 + rng->Below(2)) % 3);
+      }
+    }
+  }
+  switch (rng->Below(3)) {
+    case 0:
+      return Query::And(RandomFormula(rng, depth - 1),
+                        RandomFormula(rng, depth - 1));
+    case 1:
+      return Query::Or(RandomFormula(rng, depth - 1),
+                       RandomFormula(rng, depth - 1));
+    default:
+      return Query::Not(RandomFormula(rng, depth - 1));
+  }
+}
+
+size_t CountAtoms(const Query& q) {
+  if (q.is_atom()) return 1;
+  if (q.op() == Query::Op::kNot) return CountAtoms(q.left());
+  return CountAtoms(q.left()) + CountAtoms(q.right());
+}
+
+TEST(OptProduct, AgreesWithTheDeterminizingLowering) {
+  // Every word up to length 4 over three symbols, then random words with
+  // pending calls and returns and random well-matched ones, through the
+  // product compile and the reference lowering it replaced.
+  std::vector<NestedWord> words;
+  for (size_t len = 0; len <= 4; ++len) {
+    for (NestedWord& w : EnumerateNestedWords(3, len)) {
+      words.push_back(std::move(w));
+    }
+  }
+  Rng word_rng(1608);
+  for (int i = 0; i < 150; ++i) {
+    words.push_back(RandomNestedWord(&word_rng, 3, 5 + word_rng.Below(20)));
+    words.push_back(RandomWellMatched(&word_rng, 3, 4 + word_rng.Below(20)));
+  }
+  Rng rng(1607);
+  Alphabet names;
+  for (const char* n : {"a", "b", "c"}) names.Intern(n);
+  for (int i = 0; i < 60; ++i) {
+    // At most three atoms: the reference determinizes under every `not`
+    // and again at the top, and one atom more can cost it gigabytes.
+    Query q = RandomFormula(&rng, 3);
+    while (CountAtoms(q) > 3) q = RandomFormula(&rng, 3);
+    Nwa product = CompileQuery(q, 3);
+    Nwa reference = reference::CompileQuery(q, 3);
+    size_t disagreements = 0;
+    for (const NestedWord& w : words) {
+      disagreements += product.Accepts(w) != reference.Accepts(w);
+    }
+    EXPECT_EQ(disagreements, 0u) << FormatQuery(q, names);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +564,7 @@ TEST(OptBank, MatchesTheSoAPathExactly) {
   // The product is built over the EXACT same automata the SoA engine
   // steps, so any divergence is the bank's fault alone.
   Alphabet sigma = QueryAlphabet();
-  const std::vector<Nwa>& compiled = CompiledShapes(sigma);
+  const std::vector<Nwa> compiled = CompiledShapes(sigma);
   std::vector<const Nwa*> autos;
   for (const Nwa& a : compiled) autos.push_back(&a);
   SharedBank shared = CompileBank(autos);
