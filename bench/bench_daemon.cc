@@ -9,9 +9,11 @@
 //     the same corpus at hit rate 1.0. The cold/refreshed hit rates are
 //     structural (bench_diff fails on drift); the phase walls are
 //     timing.
-//   * dispatch overhead — the same corpus through the daemon's
-//     queue/promise submit path vs a direct ShardedEvaluator pass on
-//     the same snapshot: the price of the resident front door.
+//   * dispatch overhead — the same corpus through DaemonCore::Submit
+//     (slot checkout, evaluation on the calling thread, replay
+//     bookkeeping), one document at a time, vs a direct
+//     ShardedEvaluator pass on the same snapshot: the price of the
+//     resident front door.
 //
 // Acceptance bar (full runs): refreshed hit rate is exactly 1.0 — the
 // replay reservoir covers the corpus, so the refresh must promote every
@@ -230,7 +232,7 @@ void OverheadTable(const BenchConfig& cfg, BenchReport* report) {
   }
   daemon_ms /= kReps;
 
-  // Direct pass over the SAME epoch snapshot — no queue, no promises.
+  // Direct pass over the SAME epoch snapshot — no slots, no replay.
   std::shared_ptr<const DaemonEpoch> epoch = core.current_epoch();
   ShardedEvaluator direct(epoch->frozen.get(), epoch->num_symbols,
                           epoch->alphabet.Find("%other"), kThreads);
@@ -249,7 +251,7 @@ void OverheadTable(const BenchConfig& cfg, BenchReport* report) {
   t.Header({"path", "corpus_ms", "ratio"});
   t.Row({"direct ShardedEvaluator", Table::Dbl(direct_ms, 2),
          Table::Dbl(1.0, 2)});
-  t.Row({"daemon submit (one-doc batches)", Table::Dbl(daemon_ms, 2),
+  t.Row({"daemon submit (one doc at a time)", Table::Dbl(daemon_ms, 2),
          Table::Dbl(overhead, 2)});
   if (cfg.print()) t.Print();
   report->Metric("daemon_overhead", overhead);

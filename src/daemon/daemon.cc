@@ -31,6 +31,12 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
   // AFTER these, so the catch-all id is stable across every epoch.
   alphabet_.Intern("#text");
   other_ = alphabet_.Intern("%other");
+  if (alphabet_.size() > kMaxDaemonSymbols) {
+    init_error_ = Status::Error(
+        "initial queries name " + std::to_string(alphabet_.size()) +
+        " symbols, past the limit of " + std::to_string(kMaxDaemonSymbols));
+    return;
+  }
 
   // Registration completes here — RenderProm scrapes and the pulse
   // sampler iterate the sink list lock-free, so nothing registers
@@ -39,27 +45,16 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
   registry_.SetMeta("format", InputFormatName(options_.default_format));
   registry_.SetMetaNum("threads", options_.threads);
   registry_.Register("daemon", &daemon_sink_);
+  for (size_t i = 0; i < options_.threads; ++i) {
+    shard_sinks_.push_back(std::make_unique<StatsSink>());
+    registry_.Register("shard/" + std::to_string(i), shard_sinks_[i].get());
+    free_slots_.push_back(options_.threads - 1 - i);
+  }
 
-  {
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    RebuildBankLocked();
-    // Epoch 0: cold, evaluator-construction scaffolding only.
-    PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
-  }
-  std::shared_ptr<const DaemonEpoch> e = current_epoch();
-  evaluator_ = std::make_unique<ShardedEvaluator>(
-      e->frozen.get(), e->num_symbols, other_, options_.threads,
-      options_.default_format);
-  // No attribution tables: they are sized to the query count, which
-  // admissions change per epoch (see ShardedEvaluator::Rebind).
-  evaluator_->AttachStats(&registry_, /*with_attribution=*/false);
-  evaluator_->Rebind(e->frozen, e->num_symbols);
-  bound_epoch_ = e->id;
-  {
-    // Warm start: serve an explored snapshot from the first document.
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
-  }
+  // Warm start: serve an explored snapshot from the first document.
+  std::lock_guard<std::mutex> lock(admit_mu_);
+  RebuildBankLocked();
+  PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
 }
 
 DaemonCore::~DaemonCore() { DrainAndStop(); }
@@ -68,22 +63,24 @@ void DaemonCore::Start() {
   NW_CHECK_MSG(ok(), "starting a DaemonCore whose construction failed");
   NW_CHECK_MSG(!started_, "Start() may be called once");
   started_ = true;
-  dispatcher_ = std::thread(&DaemonCore::DispatcherLoop, this);
   refresher_ = std::thread(&DaemonCore::RefresherLoop, this);
 }
 
 void DaemonCore::DrainAndStop() {
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    // New SUBMITs are refused from here on; the ones holding a slot
+    // finish their document first.
+    std::unique_lock<std::mutex> lock(slot_mu_);
     stopping_ = true;
+    slot_cv_.notify_all();
+    slot_cv_.wait(lock,
+                  [&] { return free_slots_.size() == shard_sinks_.size(); });
   }
-  queue_cv_.notify_all();
   {
     std::lock_guard<std::mutex> lock(refresh_mu_);
     refresh_stop_ = true;
   }
   refresh_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (refresher_.joinable()) refresher_.join();
 }
 
@@ -138,9 +135,6 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
   }
   epoch->bank = bank_;
   epoch->frozen = FrozenBank::FreezeShared(*bank_->shared);
-  // The engine symbol space is the bank's, not the (possibly larger)
-  // master alphabet's: names a failed ADMIT parse interned remap to the
-  // catch-all until the next rebuild widens the bank.
   epoch->num_symbols = epoch->frozen->num_symbols();
   epoch->baseline = CaptureSnapshot(registry_);
   uint64_t id = epoch->id;
@@ -163,43 +157,86 @@ void DaemonCore::CountRequest() {
   daemon_sink_.daemon_requests.Inc();
 }
 
-void DaemonCore::RememberDoc(const std::string& text, InputFormat format) {
+void DaemonCore::RecordSubmitTransport(uint64_t decode_us,
+                                       uint64_t send_us) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  daemon_sink_.submit_decode_us.Record(decode_us);
+  daemon_sink_.submit_send_us.Record(send_us);
+}
+
+void DaemonCore::RememberDoc(std::string text, InputFormat format) {
   if (options_.replay_capacity == 0) return;
-  std::lock_guard<std::mutex> lock(replay_mu_);
-  replay_.push_back(ReplayDoc{text, format});
-  while (replay_.size() > options_.replay_capacity) replay_.pop_front();
+  ReplayDoc evicted;
+  {
+    std::lock_guard<std::mutex> lock(replay_mu_);
+    replay_.push_back(ReplayDoc{std::move(text), format});
+    if (replay_.size() > options_.replay_capacity) {
+      evicted = std::move(replay_.front());
+      replay_.pop_front();
+    }
+  }
+  // `evicted` frees its document here, outside the lock.
 }
 
 Result<SubmitOutcome> DaemonCore::Submit(std::string doc,
                                          InputFormat format) {
-  auto pending = std::make_unique<PendingDoc>();
-  pending->text = std::move(doc);
-  pending->format = format;
-  pending->enqueue_us = PulseNowUs();
-  std::future<SubmitOutcome> done = pending->done.get_future();
-  RememberDoc(pending->text, format);
+  const uint64_t submit_us = PulseNowUs();
+  size_t slot;
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::unique_lock<std::mutex> lock(slot_mu_);
+    slot_cv_.wait(lock, [&] { return stopping_ || !free_slots_.empty(); });
     if (stopping_) {
       return Status::Error("daemon: shutting down, submit rejected");
     }
-    queue_.push_back(std::move(pending));
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  queue_cv_.notify_one();
+  const uint64_t start_us = PulseNowUs();
+  // Slot `slot` is this thread's until it is handed back below, and with
+  // it shard sink `slot`: one writer at a time.
+  StatsSink* sink = shard_sinks_[slot].get();
+  SubmitOutcome outcome;
+  outcome.epoch = current_epoch();
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    daemon_sink_.daemon_docs.Inc();
+    // A fresh bank per document: what the snapshot misses interns into
+    // a bank this document alone steps, freed when it completes.
+    const DaemonEpoch& epoch = *outcome.epoch;
+    ShardRun run(epoch.frozen.get(), epoch.num_symbols, other_,
+                 /*track_matches=*/true, sink, /*attr=*/nullptr);
+    outcome.result = run.Evaluate(doc, epoch.alphabet, format);
   }
-  return done.get();
+  const uint64_t done_us = PulseNowUs();
+  sink->daemon_docs.Inc();
+  sink->submit_wait_us.Record(start_us - submit_us);
+  sink->submit_eval_us.Record(done_us - start_us);
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    free_slots_.push_back(slot);
+  }
+  // notify_all: DrainAndStop waits on the same variable for every slot.
+  slot_cv_.notify_all();
+  outcome.latency_us = done_us - submit_us;
+  RememberDoc(std::move(doc), format);
+  return outcome;
 }
 
 Result<uint64_t> DaemonCore::Admit(const std::string& query_text) {
   std::lock_guard<std::mutex> lock(admit_mu_);
   Stopwatch sw;
-  Result<Query> q = ParseQuery(query_text, &alphabet_);
+  // Names intern into a copy, which replaces the master alphabet only
+  // once the query is accepted: a rejected ADMIT interns nothing.
+  Alphabet names = alphabet_;
+  Result<Query> q = ParseQuery(query_text, &names);
   if (!q.ok()) {
     return Status::Error("admit: " + q.status().message());
   }
+  if (names.size() > kMaxDaemonSymbols) {
+    return Status::Error(
+        "admit: the query's names would take the symbol space to " +
+        std::to_string(names.size()) + ", past the limit of " +
+        std::to_string(kMaxDaemonSymbols));
+  }
+  alphabet_ = std::move(names);
   Query ast = q.Take();
   std::string normal = FormatQuery(ast, alphabet_);
   uint64_t qid = next_qid_++;
@@ -260,58 +297,6 @@ void DaemonCore::AwaitRefresh() {
   });
 }
 
-void DaemonCore::DispatcherLoop() {
-  for (;;) {
-    std::vector<std::unique_ptr<PendingDoc>> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_, fully drained
-      while (!queue_.empty()) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    // One epoch per batch: every document in it is served — and every
-    // outcome oracle-checked — against the same published snapshot.
-    std::shared_ptr<const DaemonEpoch> epoch = current_epoch();
-    if (bound_epoch_ != epoch->id) {
-      evaluator_->Rebind(epoch->frozen, epoch->num_symbols);
-      bound_epoch_ = epoch->id;
-    }
-    // The evaluator streams one format per EvaluateCorpus call, so a
-    // mixed batch dispatches as up to three calls, order preserved
-    // within each format (results map back through `members`).
-    const InputFormat kFormats[] = {InputFormat::kXml, InputFormat::kJson,
-                                    InputFormat::kTrace};
-    for (InputFormat format : kFormats) {
-      std::vector<size_t> members;
-      std::vector<std::string> corpus;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i]->format == format) {
-          members.push_back(i);
-          corpus.push_back(batch[i]->text);
-        }
-      }
-      if (corpus.empty()) continue;
-      evaluator_->set_format(format);
-      std::vector<DocResult> results =
-          evaluator_->EvaluateCorpus(corpus, epoch->alphabet,
-                                     /*track_matches=*/true);
-      uint64_t now_us = PulseNowUs();
-      for (size_t j = 0; j < members.size(); ++j) {
-        PendingDoc& doc = *batch[members[j]];
-        SubmitOutcome outcome;
-        outcome.epoch = epoch;
-        outcome.result = std::move(results[j]);
-        outcome.latency_us =
-            now_us > doc.enqueue_us ? now_us - doc.enqueue_us : 0;
-        doc.done.set_value(std::move(outcome));
-      }
-    }
-  }
-}
-
 void DaemonCore::RefresherLoop() {
   uint64_t handled = 0;
   for (;;) {
@@ -363,6 +348,10 @@ EpochMetrics DaemonCore::Metrics() const {
   const HistogramSnapshot& latency = interval.histogram("doc_latency_us");
   m.doc_p50_us = latency.Percentile(0.50);
   m.doc_p99_us = latency.Percentile(0.99);
+  m.wait_p50_us = interval.histogram("submit_wait_us").Percentile(0.50);
+  m.decode_p50_us = interval.histogram("submit_decode_us").Percentile(0.50);
+  m.eval_p50_us = interval.histogram("submit_eval_us").Percentile(0.50);
+  m.send_p50_us = interval.histogram("submit_send_us").Percentile(0.50);
   m.total_requests = lifetime.counter("daemon_requests");
   m.total_documents = lifetime.counter("daemon_docs");
   m.admissions = lifetime.counter("daemon_admissions");
@@ -400,6 +389,10 @@ std::string DaemonCore::RenderStatsJson() const {
   }
   out += ",\"doc_p50_us\":" + std::to_string(m.doc_p50_us);
   out += ",\"doc_p99_us\":" + std::to_string(m.doc_p99_us);
+  out += ",\"submit_p50_us\":{\"wait\":" + std::to_string(m.wait_p50_us);
+  out += ",\"decode\":" + std::to_string(m.decode_p50_us);
+  out += ",\"evaluate\":" + std::to_string(m.eval_p50_us);
+  out += ",\"send\":" + std::to_string(m.send_p50_us) + "}";
   out += "},\"lifetime\":{\"requests\":" + std::to_string(m.total_requests);
   out += ",\"documents\":" + std::to_string(m.total_documents);
   out += ",\"admissions\":" + std::to_string(m.admissions);

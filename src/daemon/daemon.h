@@ -1,48 +1,52 @@
 // NWDaemon core: the resident serving engine behind nwqueryd (ROADMAP:
 // NWDaemon). The paper's one-pass/whole-bank guarantee only becomes a
 // service when the compiled bank outlives any single document; this
-// layer keeps one ShardedEvaluator hot across documents, admits and
-// retires queries online, and refreshes the frozen snapshot epoch-style:
+// layer keeps one compiled bank and its frozen snapshot hot across
+// documents, admits and retires queries online, and refreshes the
+// snapshot epoch-style:
 //
 //   epoch — an immutable published serving state: the admitted queries,
 //     their optimized bank, a FrozenBank snapshot, the alphabet at
 //     publish time, and the NWPulse baseline capture per-epoch metrics
 //     delta against. Published RCU-fashion as shared_ptr<const
-//     DaemonEpoch>: readers (the dispatcher, STATS renders) copy the
-//     handle and never block a publisher; a superseded epoch is
-//     reclaimed when its last holder drops it.
+//     DaemonEpoch>: readers (SUBMITs, STATS renders) copy the handle
+//     and never block a publisher; a superseded epoch is reclaimed when
+//     its last holder drops it.
 //
-//   admission — ADMIT parses the query against the master alphabet,
-//     re-runs the optimizer pipeline over the whole bank, and publishes
-//     a COLD epoch (frozen without exploration: the snapshot holds just
-//     the initial state, so every step misses to the shards' banks —
+//   admission — ADMIT parses the query against a copy of the master
+//     alphabet (kept only if the query is accepted), re-runs the
+//     optimizer pipeline over the whole bank, and publishes a COLD
+//     epoch (frozen without exploration: the snapshot holds just the
+//     initial state, so every step misses to the SUBMITs' banks —
 //     correct immediately, slow until refreshed). Admission latency is
 //     therefore compile-bound, not exploration-bound.
 //
 //   refresh — a background thread replays a bounded reservoir of recent
 //     documents through the live SharedBank (promoting the tuples real
-//     traffic needs, exactly the ones the shards' banks kept stepping),
+//     traffic needs, exactly the ones the SUBMITs' banks kept stepping),
 //     completes with a capped ExploreAll, freezes, and publishes a
 //     refreshed epoch sharing the same bank — so the frozen hit rate
 //     climbs back toward 1.0 after every admission, with zero reader
-//     stalls (serving threads keep streaming over the old snapshot
-//     until their batch completes).
+//     stalls (a SUBMIT keeps streaming over the old snapshot until its
+//     document completes).
 //
-// Threading: SUBMITs enqueue to a single dispatcher thread (the
-// ShardedEvaluator is not re-entrant — one EvaluateCorpus at a time by
-// contract) which batches queued documents per format and fans each
-// batch across the shard workers. ADMIT/RETIRE/refresh serialize under
-// one admission mutex; epoch publication is a pointer swap under a
-// second tiny mutex. All daemon-sink metric writes happen under the
-// admission mutex or the dispatcher thread's stats mutex, keeping the
-// relaxed-atomic cells single-writer-at-a-time.
+// Threading: a SUBMIT is evaluated on the thread that calls Submit (the
+// server's connection thread). It checks out one of `threads` engine
+// slots — slot i owns the "shard/i" stats sink, so each sink keeps one
+// writer at a time — and streams the document through a fresh ShardRun
+// over current_epoch()'s snapshot; at most `threads` documents are
+// evaluated at once, and a caller past that waits for a slot. ADMIT/
+// RETIRE/refresh serialize under one admission mutex; epoch publication
+// is a pointer swap under a second tiny mutex. Daemon-sink writes happen
+// under the admission mutex or the stats mutex, shard-sink writes under
+// a slot checkout, keeping every relaxed-atomic cell single-writer-at-
+// a-time.
 #ifndef NW_DAEMON_DAEMON_H_
 #define NW_DAEMON_DAEMON_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,9 +65,14 @@
 
 namespace nw {
 
+/// The largest symbol space an epoch may have: Nwa's return table packs
+/// a symbol id into 16 bits, so ids run 0..65535. An ADMIT whose names
+/// would take the master alphabet past it is rejected.
+inline constexpr size_t kMaxDaemonSymbols = size_t{1} << 16;
+
 /// Construction-time knobs for DaemonCore.
 struct DaemonOptions {
-  /// Shard workers per EvaluateCorpus batch.
+  /// Engine slots: documents evaluated at once.
   size_t threads = 1;
   /// Front end assumed for SUBMITs that carry no format tag.
   InputFormat default_format = InputFormat::kXml;
@@ -113,7 +122,7 @@ struct DaemonEpoch {
 struct SubmitOutcome {
   std::shared_ptr<const DaemonEpoch> epoch;
   DocResult result;
-  /// Submit-to-result wall time (queue wait + evaluation), µs.
+  /// Submit-to-result wall time (slot wait + evaluation), µs.
   uint64_t latency_us = 0;
 };
 
@@ -134,6 +143,12 @@ struct EpochMetrics {
   double hit_rate = 0.0;  ///< meaningful only when has_traffic
   uint64_t doc_p50_us = 0;
   uint64_t doc_p99_us = 0;
+  /// Medians of a SUBMIT's four shares: slot wait, request decode,
+  /// evaluation, and response render + send.
+  uint64_t wait_p50_us = 0;
+  uint64_t decode_p50_us = 0;
+  uint64_t eval_p50_us = 0;
+  uint64_t send_p50_us = 0;
   // -- lifetime --
   uint64_t total_requests = 0;
   uint64_t total_documents = 0;
@@ -147,8 +162,9 @@ struct EpochMetrics {
 /// product needs >= 1 automaton, so a daemon serving zero queries is
 /// unrepresentable — RETIRE of the last query is rejected for the same
 /// reason), then Start(); Submit/Admit/Retire are safe from any number
-/// of connection threads. DrainAndStop() completes every accepted
-/// SUBMIT before returning — the graceful-shutdown half of the protocol.
+/// of connection threads. DrainAndStop() waits for every SUBMIT already
+/// evaluating before returning — the graceful-shutdown half of the
+/// protocol.
 class DaemonCore {
  public:
   /// Parses and compiles `initial_queries` (normal nwquery grammar, one
@@ -168,15 +184,16 @@ class DaemonCore {
   bool ok() const { return init_error_.ok(); }
   const Status& init_error() const { return init_error_; }
 
-  /// Launches the dispatcher and refresher threads. Call once.
+  /// Launches the refresher thread. Call once.
   void Start();
 
-  /// Stops accepting new work, completes every already-accepted SUBMIT,
-  /// joins the background threads. Idempotent; the destructor calls it.
+  /// Stops accepting new SUBMITs, waits for the ones evaluating, joins
+  /// the refresher. Idempotent; the destructor calls it.
   void DrainAndStop();
 
-  /// Evaluates one document against the current epoch. Blocks until the
-  /// dispatcher's batch containing it completes. Thread-safe.
+  /// Evaluates one document against the current epoch on the calling
+  /// thread, once an engine slot is free, then keeps it for refresh
+  /// replay (moved, not copied). Thread-safe.
   Result<SubmitOutcome> Submit(std::string doc, InputFormat format);
 
   /// Tallies one accepted protocol request (any op) into the daemon
@@ -184,9 +201,17 @@ class DaemonCore {
   /// users (tests) may skip it. Thread-safe.
   void CountRequest();
 
+  /// Records the transport's share of one SUBMIT into the daemon sink:
+  /// decoding its request line, and rendering and sending its response.
+  /// Submit records the other two shares (slot wait, evaluation).
+  /// Thread-safe.
+  void RecordSubmitTransport(uint64_t decode_us, uint64_t send_us);
+
   /// Admits one query online: compile + optimize into a fresh bank,
   /// publish a cold epoch, nudge the background refresh. Returns the
-  /// new query's admission id. Thread-safe; admissions serialize.
+  /// new query's admission id. A query that fails to parse, or whose
+  /// new names would take the symbol space past kMaxDaemonSymbols, is
+  /// rejected and interns nothing. Thread-safe; admissions serialize.
   Result<uint64_t> Admit(const std::string& query_text);
 
   /// Retires an admitted query by id. Rejects unknown ids and the last
@@ -216,13 +241,6 @@ class DaemonCore {
   InputFormat default_format() const { return options_.default_format; }
 
  private:
-  struct PendingDoc {
-    std::string text;
-    InputFormat format;
-    uint64_t enqueue_us;
-    std::promise<SubmitOutcome> done;
-  };
-
   /// Builds bank + frozen from `admitted_` and publishes a new epoch.
   /// `refreshed` tags the epoch; `explore` runs the replay + ExploreAll
   /// warmup before freezing (cold admissions skip it). Caller holds
@@ -233,11 +251,10 @@ class DaemonCore {
   /// admit_mu_.
   void RebuildBankLocked();
 
-  void DispatcherLoop();
   void RefresherLoop();
 
   /// Remembers a document for refresh replay (bounded ring).
-  void RememberDoc(const std::string& text, InputFormat format);
+  void RememberDoc(std::string text, InputFormat format);
 
   DaemonOptions options_;
   Status init_error_;
@@ -263,10 +280,11 @@ class DaemonCore {
   std::shared_ptr<const DaemonEpoch> epoch_;
   uint64_t next_epoch_id_ = 0;
 
-  // -- dispatch queue (queue_mu_). --
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::unique_ptr<PendingDoc>> queue_;
+  // -- engine slots (slot_mu_): indexes of the shard sinks no SUBMIT
+  // holds. A SUBMIT takes one for its whole evaluation. --
+  std::mutex slot_mu_;
+  std::condition_variable slot_cv_;
+  std::vector<size_t> free_slots_;
   bool stopping_ = false;
 
   // -- refresh signal (refresh_mu_). --
@@ -287,17 +305,13 @@ class DaemonCore {
   // -- observability. Registration completes in the constructor (the
   // pulse scraper and RenderProm iterate the sink list lock-free). The
   // daemon sink's cells are written under admit_mu_ (control ops) or
-  // stats_mu_ (dispatcher + connection-thread request tallies). --
+  // stats_mu_ (connection-thread tallies); shard sink i only by the
+  // SUBMIT holding slot i. --
   StatsRegistry registry_;
   StatsSink daemon_sink_;
   mutable std::mutex stats_mu_;
+  std::vector<std::unique_ptr<StatsSink>> shard_sinks_;
 
-  // -- the evaluator pool: one ShardedEvaluator reused across epochs
-  // via Rebind (only the dispatcher thread touches it after Start). --
-  std::unique_ptr<ShardedEvaluator> evaluator_;
-  uint64_t bound_epoch_ = 0;  ///< epoch id the evaluator last Rebind-ed
-
-  std::thread dispatcher_;
   std::thread refresher_;
   bool started_ = false;
 };

@@ -17,7 +17,8 @@
 //   --http PORT       serve GET /metrics (Prometheus text exposition)
 //                     and /healthz on 127.0.0.1:PORT; 0 picks an
 //                     ephemeral port, printed on the ready line
-//   --threads N       shard workers per document batch (default 1)
+//   --threads N       engine slots: documents evaluated at once, each
+//                     on its connection's thread (default 1)
 //   --format F        default format for SUBMITs without a tag:
 //                     xml (default) | json | trace
 //   --refresh-cap N   ExploreAll state cap for epoch refreshes
@@ -29,8 +30,8 @@
 //                     the series telescopes to the shutdown totals
 //
 // SIGINT/SIGTERM (or a SHUTDOWN request) drain gracefully: stop
-// accepting, answer every in-flight request, drain the dispatch queue,
-// take the final pulse tick, exit 0.
+// accepting, answer every in-flight request, take the final pulse tick,
+// exit 0.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -246,9 +247,9 @@ int main(int argc, char** argv) {
 
   server.Run();
 
-  // Graceful drain: the server joined every connection; now finish the
-  // dispatch queue, stop the background threads, take the final pulse
-  // tick, and leave 0.
+  // Graceful drain: the server joined every connection, so no SUBMIT is
+  // left evaluating; stop the refresher, take the final pulse tick, and
+  // leave 0.
   core.DrainAndStop();
   if (sampler != nullptr) sampler->Stop();
   if (pulse_owned) std::fclose(pulse_out);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "stream/token_stream.h"
 #include "support/result.h"
@@ -58,8 +59,9 @@ struct DaemonRequest {
 /// Decodes one request line. Errors carry a one-line human message the
 /// server echoes back verbatim as {"ok":false,"error":...}; nothing is
 /// ever half-applied — a request with any unknown op/key/value fails
-/// whole.
-Result<DaemonRequest> ParseDaemonRequest(const std::string& line);
+/// whole. `line` is read in place (no copy); only the decoded strings
+/// are allocated.
+Result<DaemonRequest> ParseDaemonRequest(std::string_view line);
 
 }  // namespace nw
 

@@ -9,12 +9,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
+#include "obs/pulse.h"
 #include "obs/stats.h"
 
 namespace nw {
@@ -22,6 +23,10 @@ namespace nw {
 namespace {
 
 int g_wake_write_fd = -1;
+
+/// Bytes one recv may return: a typical SUBMIT line arrives whole and is
+/// parsed straight out of the receive buffer.
+constexpr size_t kRecvChunk = size_t{64} << 10;
 
 void OnShutdownSignal(int /*signo*/) {
   // Async-signal-safe by construction: one write to a nonblocking pipe.
@@ -80,13 +85,7 @@ DaemonServer::DaemonServer(DaemonCore* core, ServerOptions options)
 DaemonServer::~DaemonServer() {
   Stop();
   if (http_thread_.joinable()) http_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
+  JoinAll();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (http_fd_ >= 0) ::close(http_fd_);
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
@@ -160,6 +159,7 @@ void DaemonServer::Run() {
       nfds = 2;
     }
     int ready = ::poll(fds, nfds, 200);
+    ReapFinished();
     if (ready <= 0) continue;  // timeout or EINTR: re-check stop_
     if (nfds == 2 && (fds[1].revents & POLLIN) != 0) {
       char drain[16];
@@ -171,32 +171,60 @@ void DaemonServer::Run() {
     int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
     std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back(&DaemonServer::Serve, this, conn);
+    if (connections_.size() >= kMaxConnections) {
+      SendAll(conn, RenderError("busy"));
+      ::close(conn);
+      continue;
+    }
+    uint64_t id = next_conn_id_++;
+    connections_.emplace(id, std::thread(&DaemonServer::Serve, this, id,
+                                         conn));
   }
   stop_.store(true, std::memory_order_relaxed);
   // In-flight requests complete: connection threads only exit between
   // requests (or on client hangup), and each joins here before Run()
   // returns — the first half of the graceful-drain contract.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
+  JoinAll();
   if (http_thread_.joinable()) http_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
 }
 
-void DaemonServer::Serve(int fd) {
-  std::string buffer;
-  // Bytes at the front of `buffer` already searched for '\n': a long
-  // request line arriving over many reads is scanned once, not once per
-  // read.
-  size_t searched = 0;
-  char chunk[4096];
+void DaemonServer::ReapFinished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    for (uint64_t id : finished_) {
+      auto it = connections_.find(id);
+      done.push_back(std::move(it->second));
+      connections_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
+void DaemonServer::JoinAll() {
+  std::map<uint64_t, std::thread> all;
+  {
+    // Joined outside the lock: a finishing thread takes it to report.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    all.swap(connections_);
+  }
+  for (auto& [id, t] : all) t.join();
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  finished_.clear();
+}
+
+void DaemonServer::Serve(uint64_t id, int fd) {
+  std::unique_ptr<char[]> chunk(new char[kRecvChunk]);
+  // The start of a line that has not ended yet, carried across recvs; a
+  // line that arrives whole is parsed in place in `chunk`.
+  std::string carry;
+  const std::string too_long = RenderError(
+      "protocol: request line exceeds " + std::to_string(kMaxRequestBytes) +
+      " bytes");
   bool open = true;
   while (open) {
     struct pollfd pfd;
@@ -210,32 +238,44 @@ void DaemonServer::Serve(int fd) {
       if (stop_.load(std::memory_order_relaxed)) break;
       continue;
     }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ssize_t n = ::recv(fd, chunk.get(), kRecvChunk, 0);
     if (n <= 0) break;  // hangup or error
-    buffer.append(chunk, static_cast<size_t>(n));
+    std::string_view data(chunk.get(), static_cast<size_t>(n));
     size_t start = 0;
     size_t nl;
-    while (open && (nl = buffer.find('\n', std::max(start, searched))) !=
-                       std::string::npos) {
-      std::string line = buffer.substr(start, nl - start);
+    while (open && (nl = data.find('\n', start)) != std::string_view::npos) {
+      std::string_view line = data.substr(start, nl - start);
       start = nl + 1;
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      std::string response;
-      open = HandleLine(line, &response);
-      if (!SendAll(fd, response)) open = false;
+      if (!carry.empty()) {
+        carry.append(line);
+        line = carry;
+      }
+      if (line.size() > kMaxRequestBytes) {
+        SendAll(fd, too_long);
+        open = false;
+      } else if (line.find_first_not_of(" \t\r") != std::string_view::npos) {
+        open = HandleLine(fd, line);
+      }
+      carry.clear();
     }
-    buffer.erase(0, start);
-    searched = buffer.size();
+    if (!open) break;
+    carry.append(data.substr(start));
+    if (carry.size() > kMaxRequestBytes) {
+      // Answer now rather than buffer the rest of an over-long line.
+      SendAll(fd, too_long);
+      break;
+    }
   }
   ::close(fd);
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  finished_.push_back(id);
 }
 
-bool DaemonServer::HandleLine(const std::string& line, std::string* out) {
+bool DaemonServer::HandleLine(int fd, std::string_view line) {
+  const uint64_t decode_start_us = PulseNowUs();
   Result<DaemonRequest> parsed = ParseDaemonRequest(line);
-  if (!parsed.ok()) {
-    *out += RenderError(parsed.status().message());
-    return true;
-  }
+  if (!parsed.ok()) return SendAll(fd, RenderError(parsed.status().message()));
+  const uint64_t decode_us = PulseNowUs() - decode_start_us;
   core_->CountRequest();
   switch (parsed->op) {
     case DaemonOp::kSubmit: {
@@ -244,9 +284,9 @@ bool DaemonServer::HandleLine(const std::string& line, std::string* out) {
       Result<SubmitOutcome> outcome =
           core_->Submit(std::move(parsed->doc), format);
       if (!outcome.ok()) {
-        *out += RenderError(outcome.status().message());
-        return true;
+        return SendAll(fd, RenderError(outcome.status().message()));
       }
+      const uint64_t send_start_us = PulseNowUs();
       const SubmitOutcome& o = *outcome;
       std::string resp = "{\"ok\":true,\"op\":\"SUBMIT\",\"label\":";
       AppendJsonString(&resp, parsed->label);
@@ -267,48 +307,37 @@ bool DaemonServer::HandleLine(const std::string& line, std::string* out) {
         resp.push_back('}');
       }
       resp += "]}\n";
-      *out += resp;
-      return true;
+      bool sent = SendAll(fd, resp);
+      core_->RecordSubmitTransport(decode_us, PulseNowUs() - send_start_us);
+      return sent;
     }
     case DaemonOp::kAdmit: {
       Result<uint64_t> qid = core_->Admit(parsed->query);
-      if (!qid.ok()) {
-        *out += RenderError(qid.status().message());
-        return true;
-      }
+      if (!qid.ok()) return SendAll(fd, RenderError(qid.status().message()));
       std::shared_ptr<const DaemonEpoch> epoch = core_->current_epoch();
-      *out += "{\"ok\":true,\"op\":\"ADMIT\",\"qid\":" +
-              std::to_string(*qid) +
-              ",\"epoch\":" + std::to_string(epoch->id) +
-              ",\"queries\":" + std::to_string(epoch->qids.size()) + "}\n";
-      return true;
+      return SendAll(fd, "{\"ok\":true,\"op\":\"ADMIT\",\"qid\":" +
+                             std::to_string(*qid) + ",\"epoch\":" +
+                             std::to_string(epoch->id) + ",\"queries\":" +
+                             std::to_string(epoch->qids.size()) + "}\n");
     }
     case DaemonOp::kRetire: {
       Status s = core_->Retire(parsed->qid);
-      if (!s.ok()) {
-        *out += RenderError(s.message());
-        return true;
-      }
+      if (!s.ok()) return SendAll(fd, RenderError(s.message()));
       std::shared_ptr<const DaemonEpoch> epoch = core_->current_epoch();
-      *out += "{\"ok\":true,\"op\":\"RETIRE\",\"qid\":" +
-              std::to_string(parsed->qid) +
-              ",\"epoch\":" + std::to_string(epoch->id) +
-              ",\"queries\":" + std::to_string(epoch->qids.size()) + "}\n";
-      return true;
+      return SendAll(fd, "{\"ok\":true,\"op\":\"RETIRE\",\"qid\":" +
+                             std::to_string(parsed->qid) + ",\"epoch\":" +
+                             std::to_string(epoch->id) + ",\"queries\":" +
+                             std::to_string(epoch->qids.size()) + "}\n");
     }
-    case DaemonOp::kStats: {
-      *out += "{\"ok\":true,\"op\":\"STATS\",\"stats\":" +
-              core_->RenderStatsJson() + "}\n";
-      return true;
-    }
-    case DaemonOp::kShutdown: {
-      *out += "{\"ok\":true,\"op\":\"SHUTDOWN\"}\n";
+    case DaemonOp::kStats:
+      return SendAll(fd, "{\"ok\":true,\"op\":\"STATS\",\"stats\":" +
+                             core_->RenderStatsJson() + "}\n");
+    case DaemonOp::kShutdown:
+      SendAll(fd, "{\"ok\":true,\"op\":\"SHUTDOWN\"}\n");
       Stop();
       return false;
-    }
   }
-  *out += RenderError("unreachable op");
-  return true;
+  return SendAll(fd, RenderError("unreachable op"));
 }
 
 void DaemonServer::HttpLoop() {

@@ -1,7 +1,16 @@
 // NWDaemon transport: the Unix-domain control socket (newline-delimited
 // JSON requests, see daemon/protocol.h) and the minimal HTTP /metrics
 // endpoint (Prometheus text exposition straight from the core registry's
-// RenderProm). One thread per control connection; one thread for HTTP.
+// RenderProm). One thread per control connection, which decodes its
+// requests in place and evaluates its SUBMITs itself (DaemonCore::Submit);
+// one thread for HTTP.
+//
+// Limits, each answered with {"ok":false,"error":...}:
+//   * kMaxConnections open control connections — one more is answered
+//     "busy" and closed. A connection thread is joined by the accept
+//     loop as soon as it finishes, so closed connections hold nothing.
+//   * kMaxRequestBytes per request line — a longer line is answered
+//     with an error and its connection closed without reading the rest.
 //
 // Shutdown paths, all converging on the same graceful drain:
 //   * a SHUTDOWN request — the connection gets its {"ok":true} response
@@ -17,8 +26,12 @@
 #define NW_DAEMON_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +40,12 @@
 namespace nw {
 
 class DaemonCore;
+
+/// Open control connections served at once; the next is refused "busy".
+inline constexpr size_t kMaxConnections = 256;
+/// Longest request line, newline excluded (NWBench's largest SUBMIT is
+/// about 100 KB).
+inline constexpr size_t kMaxRequestBytes = size_t{16} << 20;
 
 /// Installs SIGINT/SIGTERM handlers that write one byte to a self-pipe
 /// and returns the pipe's read end (-1 on failure). Pass the fd to
@@ -73,10 +92,15 @@ class DaemonServer {
 
  private:
   void HttpLoop();
-  void Serve(int fd);
-  /// Handles one request line; appends the response (newline included)
-  /// to *out. Returns false when the connection should close (SHUTDOWN).
-  bool HandleLine(const std::string& line, std::string* out);
+  /// One control connection's loop; `id` names it in connections_.
+  void Serve(uint64_t id, int fd);
+  /// Handles one request line and sends its response. Returns false when
+  /// the connection should close (SHUTDOWN, or the send failed).
+  bool HandleLine(int fd, std::string_view line);
+  /// Joins the connection threads that have finished.
+  void ReapFinished();
+  /// Joins every connection thread (each ends once stop_ is set).
+  void JoinAll();
 
   DaemonCore* core_;
   ServerOptions options_;
@@ -87,7 +111,11 @@ class DaemonServer {
   std::atomic<bool> stop_{false};
   std::thread http_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  uint64_t next_conn_id_ = 0;
+  /// Every connection thread not yet joined, by id.
+  std::map<uint64_t, std::thread> connections_;
+  /// Ids whose Serve returned; the accept loop joins them.
+  std::vector<uint64_t> finished_;
 };
 
 }  // namespace nw

@@ -98,6 +98,14 @@ const std::vector<SinkHistogramField>& SinkHistogramFields() {
        &StatsSink::split_chunk_bytes},
       {"admission_latency_us", "ADMIT wall time, parse to epoch live (us)",
        &StatsSink::admission_latency_us},
+      {"submit_wait_us", "SUBMIT time waiting for an engine slot (us)",
+       &StatsSink::submit_wait_us},
+      {"submit_decode_us", "SUBMIT time decoding the request line (us)",
+       &StatsSink::submit_decode_us},
+      {"submit_eval_us", "SUBMIT time evaluating the document (us)",
+       &StatsSink::submit_eval_us},
+      {"submit_send_us", "SUBMIT time rendering and sending the reply (us)",
+       &StatsSink::submit_send_us},
   };
   return kFields;
 }
@@ -409,6 +417,18 @@ std::string StatsRegistry::RenderJson() const {
   AppendJsonString(&out, "admission_latency_us");
   out.push_back(':');
   AppendHistogram(&out, agg.admission_latency_us);
+  const std::pair<const char*, const Histogram*> submit_shares[] = {
+      {"submit_wait_us", &agg.submit_wait_us},
+      {"submit_decode_us", &agg.submit_decode_us},
+      {"submit_eval_us", &agg.submit_eval_us},
+      {"submit_send_us", &agg.submit_send_us},
+  };
+  for (const auto& [name, hist] : submit_shares) {
+    out.push_back(',');
+    AppendJsonString(&out, name);
+    out.push_back(':');
+    AppendHistogram(&out, *hist);
+  }
   out += "},";
   // serve
   AppendJsonString(&out, "serve");

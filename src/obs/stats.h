@@ -71,9 +71,10 @@ struct StatsSink {
   Gauge split_max_chunk_bytes;    ///< largest chunk (a giant record = skew)
   Histogram split_chunk_bytes;    ///< chunk size distribution
 
-  // -- daemon layer: NWDaemon control-plane (src/daemon/daemon.h), one
-  // sink for the whole process (control ops serialize under the daemon's
-  // admission mutex, which keeps the writes single-writer). --
+  // -- daemon layer: NWDaemon (src/daemon/daemon.h). Control ops and the
+  // transport's SUBMIT shares go to the process's "daemon" sink, under a
+  // daemon mutex; a SUBMIT's document count, slot wait and evaluation go
+  // to the "shard/N" sink of the engine slot it holds. --
   Counter daemon_requests;     ///< protocol requests accepted (all ops)
   Counter daemon_docs;         ///< documents submitted for evaluation
   Counter daemon_admissions;   ///< queries admitted online
@@ -81,6 +82,10 @@ struct StatsSink {
   Counter daemon_refreshes;    ///< background epoch re-freezes published
   Gauge daemon_epoch;          ///< current serving epoch id
   Histogram admission_latency_us;  ///< ADMIT wall time, parse → epoch live
+  Histogram submit_wait_us;    ///< SUBMIT: waiting for an engine slot (µs)
+  Histogram submit_decode_us;  ///< SUBMIT: decoding the request line (µs)
+  Histogram submit_eval_us;    ///< SUBMIT: evaluating the document (µs)
+  Histogram submit_send_us;    ///< SUBMIT: rendering + sending reply (µs)
 
   /// Reader-side aggregation: counters sum, gauges max, histograms merge.
   void MergeFrom(const StatsSink& other);

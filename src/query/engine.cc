@@ -12,12 +12,15 @@ namespace nw {
 void QueryEngine::set_stats(StatsSink* sink) {
   NW_CHECK_MSG(sink != nullptr, "set_stats() needs a sink; stats are off "
                "by default — simply never attach one");
-  // Carry over counts accrued in the internal sink so the frozen hit/miss
-  // accessors never go backwards across a late attach.
-  if (stats_ == &own_stats_ && sink != &own_stats_) {
-    sink->MergeFrom(own_stats_);
+  // Carry over counts accrued in the engine's own counters so the frozen
+  // hit/miss accessors never go backwards across a late attach.
+  if (stats_ == nullptr) {
+    sink->frozen_hits.MergeFrom(own_hits_);
+    sink->frozen_misses.MergeFrom(own_misses_);
   }
   stats_ = sink;
+  hits_ = &sink->frozen_hits;
+  misses_ = &sink->frozen_misses;
   stats_enabled_ = true;
 }
 

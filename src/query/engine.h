@@ -92,7 +92,7 @@ class QueryEngine {
   /// tokenizer. `sink` must outlive the engine and be this engine's
   /// private instance (single-writer; the serving layer hands each shard
   /// its own). Without a sink only the always-on frozen hit/miss
-  /// counters accrue (into an engine-internal sink), so the disabled
+  /// counters accrue (into engine-owned counters), so the disabled
   /// path is one branch on a flag that is constant for the stream —
   /// query results are byte-identical either way. The bank keeps its own
   /// sink (SharedBank::set_stats).
@@ -153,13 +153,13 @@ class QueryEngine {
                            InputFormat format);
 
   /// Product-path steps answered by the immutable snapshot (lock-free).
-  /// Lives in the attached stats sink (the engine-internal one when none
+  /// Lives in the attached stats sink (an engine-owned counter when none
   /// was attached), so the serving layer reads one source of truth.
-  size_t frozen_hits() const { return stats_->frozen_hits.value(); }
+  size_t frozen_hits() const { return hits_->value(); }
   /// Product-path steps the snapshot did not cover, which the bank took.
   /// hits + misses = positions fed with a snapshot attached; without one
   /// neither counts.
-  size_t frozen_misses() const { return stats_->frozen_misses.value(); }
+  size_t frozen_misses() const { return misses_->value(); }
 
   /// Number of BeginStream() calls — the "K queries, one traversal"
   /// witness asserted by tests and reported by the benchmarks.
@@ -199,10 +199,10 @@ class QueryEngine {
   /// true when the bank must take the step.
   bool Missed(StateId next) {
     if (next != kNoState) {
-      stats_->frozen_hits.Inc();
+      hits_->Inc();
       return false;
     }
-    if (frozen_ != nullptr) stats_->frozen_misses.Inc();
+    if (frozen_ != nullptr) misses_->Inc();
     return true;
   }
   /// Records first-accept positions for queries newly observed accepting.
@@ -248,12 +248,17 @@ class QueryEngine {
   std::vector<int64_t> first_match_;
   /// Product path: accept bits already latched (word-parallel diff).
   std::vector<uint64_t> seen_accepts_;
-  /// NWStats: `stats_` points at the attached sink, or at `own_stats_`
-  /// (which keeps the frozen hit/miss accessors live) when none is.
+  /// NWStats: `stats_` is the attached sink, or null. The frozen
+  /// hit/miss counters always accrue: into the sink's cells when one is
+  /// attached, else into two engine-owned counters (not a whole sink,
+  /// whose histograms would make every engine tens of KB larger).
   /// `stats_enabled_` gates everything beyond those counters — document
   /// latency clocks, path counters, tokenizer tallies.
-  StatsSink own_stats_;
-  StatsSink* stats_ = &own_stats_;
+  Counter own_hits_;
+  Counter own_misses_;
+  Counter* hits_ = &own_hits_;
+  Counter* misses_ = &own_misses_;
+  StatsSink* stats_ = nullptr;
   bool stats_enabled_ = false;
   /// NWProf per-query attribution, or nullptr when off (the default) —
   /// the same branch-on-a-constant-pointer discipline as the sink.

@@ -15,6 +15,54 @@
 
 namespace nw {
 
+ShardRun::ShardRun(const FrozenBank* frozen, size_t num_symbols,
+                   Symbol other_symbol, bool track_matches, StatsSink* sink,
+                   QueryAttribution* attr)
+    : bank_(frozen),
+      engine_(num_symbols),
+      sink_(sink),
+      track_matches_(track_matches) {
+  if (other_symbol != Alphabet::kNoSymbol) {
+    engine_.set_other_symbol(other_symbol);
+  }
+  engine_.set_track_matches(track_matches);
+  engine_.AddFrozen(frozen, &bank_);
+  if (sink != nullptr) {
+    engine_.set_stats(sink);
+    bank_.set_stats(sink);
+  }
+  if (attr != nullptr) {
+    engine_.set_attribution(attr);
+    bank_.set_attribution(attr);
+  }
+}
+
+DocResult ShardRun::Evaluate(const std::string& doc, const Alphabet& alphabet,
+                             InputFormat format) {
+  Stopwatch doc_sw;
+  size_t before = engine_.positions();
+  DocResult r;
+  r.accept = engine_.RunAll(doc, &alphabet, format);
+  r.positions = engine_.positions() - before;
+  if (track_matches_) {
+    r.first_match.resize(engine_.num_queries());
+    for (size_t q = 0; q < r.first_match.size(); ++q) {
+      r.first_match[q] = engine_.first_match(q);
+    }
+  }
+  uint64_t doc_us = static_cast<uint64_t>(doc_sw.ElapsedUs());
+  busy_us_ += doc_us;
+  if (sink_ != nullptr) {
+    sink_->shard_docs.Inc();
+    sink_->shard_bytes.Add(doc.size());
+    sink_->shard_positions.Add(r.positions);
+    // Published per document (not at join) so a sampler's interval busy
+    // delta is live utilization, not an end-of-run step.
+    sink_->shard_busy_us.Add(doc_us);
+  }
+  return r;
+}
+
 ShardedEvaluator::ShardedEvaluator(const FrozenBank* frozen,
                                    size_t num_symbols, Symbol other_symbol,
                                    size_t threads, InputFormat format)
@@ -26,25 +74,6 @@ ShardedEvaluator::ShardedEvaluator(const FrozenBank* frozen,
   NW_CHECK_MSG(threads >= 1, "sharded evaluation needs at least one thread");
   NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
                "frozen bank symbol space mismatch");
-}
-
-void ShardedEvaluator::Rebind(std::shared_ptr<const FrozenBank> frozen,
-                              size_t num_symbols) {
-  NW_CHECK_MSG(frozen != nullptr, "Rebind() needs a live epoch snapshot");
-  NW_CHECK_MSG(frozen->num_symbols() == num_symbols,
-               "frozen bank symbol space mismatch");
-  NW_CHECK_MSG(other_ == Alphabet::kNoSymbol || other_ < num_symbols,
-               "catch-all symbol %u out of range for a %zu-symbol epoch",
-               other_, num_symbols);
-  NW_CHECK_MSG(attrs_.empty() ||
-                   attrs_[0]->num_queries() == frozen->num_queries(),
-               "attribution tables sized for %zu queries cannot follow a "
-               "rebind to a %zu-query bank; attach with with_attribution = "
-               "false for online admission",
-               attrs_[0]->num_queries(), frozen->num_queries());
-  frozen_handle_ = std::move(frozen);
-  frozen_ = frozen_handle_.get();
-  num_symbols_ = num_symbols;
 }
 
 void ShardedEvaluator::AttachStats(StatsRegistry* registry,
@@ -71,62 +100,29 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
   progress_.Reset(corpus.size());
   std::atomic<uint64_t>& cursor = progress_.cursor;
   std::atomic<size_t> hits{0}, misses{0}, total_positions{0};
-  // Each worker owns every piece of mutable state it touches: the engine
-  // (run state), the bank that extends the snapshot (steps the snapshot
-  // misses intern there, confined to this thread), and its NWStats shard
-  // sink (single-writer by construction: shard indexes are unique, so
-  // each sink has exactly one writing thread while the registry's
-  // readers merge relaxed-atomic snapshots). The FrozenBank and the
-  // alphabet are shared and only read: names resolve by lookup, and a
-  // name the alphabet lacks steps as the catch-all.
+  // Each worker owns every piece of mutable state it touches: its
+  // ShardRun (run state and the bank that extends the snapshot) and its
+  // NWStats shard sink (single-writer by construction: shard indexes are
+  // unique, so each sink has exactly one writing thread while the
+  // registry's readers merge relaxed-atomic snapshots). The FrozenBank
+  // and the alphabet are shared and only read.
   auto worker = [&](size_t shard) {
     StatsSink* sink = sinks_.empty() ? nullptr : sinks_[shard].get();
+    // Shard w writes only attribution table w, so each table keeps the
+    // sinks' single-writer discipline; renders merge across shards.
+    QueryAttribution* attr = attrs_.empty() ? nullptr : attrs_[shard].get();
     Stopwatch wall;
-    uint64_t busy_us = 0;
     // Sinks are cumulative across EvaluateCorpus calls; ServeStats is
     // per-call, so the frozen hit/miss contribution is a delta.
     const size_t hits0 = sink == nullptr ? 0 : sink->frozen_hits.value();
     const size_t miss0 = sink == nullptr ? 0 : sink->frozen_misses.value();
-    SharedBank bank(frozen_);
-    QueryEngine engine(num_symbols_);
-    if (other_ != Alphabet::kNoSymbol) engine.set_other_symbol(other_);
-    engine.set_track_matches(track_matches);
-    engine.AddFrozen(frozen_, &bank);
-    if (sink != nullptr) {
-      engine.set_stats(sink);
-      bank.set_stats(sink);
-    }
-    if (!attrs_.empty()) {
-      // Shard w writes only table w, so each attribution table keeps the
-      // sinks' single-writer discipline; renders merge across shards.
-      engine.set_attribution(attrs_[shard].get());
-      bank.set_attribution(attrs_[shard].get());
-    }
+    ShardRun run(frozen_, num_symbols_, other_, track_matches, sink, attr);
     for (;;) {
       size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= corpus.size()) break;
-      Stopwatch doc_sw;
       TraceSpan span(tracer_, "doc", "corpus/" + std::to_string(i));
-      size_t before = engine.positions();
       DocResult& r = results[i];
-      r.accept = engine.RunAll(corpus[i], &alphabet, format_);
-      r.positions = engine.positions() - before;
-      if (track_matches) {
-        r.first_match.resize(engine.num_queries());
-        for (size_t q = 0; q < r.first_match.size(); ++q) {
-          r.first_match[q] = engine.first_match(q);
-        }
-      }
-      uint64_t doc_us = static_cast<uint64_t>(doc_sw.ElapsedUs());
-      busy_us += doc_us;
-      if (sink != nullptr) {
-        sink->shard_docs.Inc();
-        sink->shard_bytes.Add(corpus[i].size());
-        sink->shard_positions.Add(r.positions);
-        // Published per document (not at join) so a sampler's interval
-        // busy delta is live utilization, not an end-of-run step.
-        sink->shard_busy_us.Add(doc_us);
-      }
+      r = run.Evaluate(corpus[i], alphabet, format_);
       progress_.docs_done.fetch_add(1, std::memory_order_relaxed);
       progress_.bytes_done.fetch_add(corpus[i].size(),
                                      std::memory_order_relaxed);
@@ -137,15 +133,17 @@ std::vector<DocResult> ShardedEvaluator::EvaluateCorpus(
         tracer_->WriteCounters(shard, *sink);
       }
     }
+    const QueryEngine& engine = run.engine();
     hits.fetch_add(engine.frozen_hits() - hits0, std::memory_order_relaxed);
     misses.fetch_add(engine.frozen_misses() - miss0,
                      std::memory_order_relaxed);
     total_positions.fetch_add(engine.positions(),
                               std::memory_order_relaxed);
     if (sink != nullptr) {
-      // busy_us went in per document above; only the wait residue lands
-      // at join time.
+      // Busy time went in per document; only the wait residue lands at
+      // join time.
       uint64_t wall_us = static_cast<uint64_t>(wall.ElapsedUs());
+      uint64_t busy_us = run.busy_us();
       sink->shard_wait_us.Add(wall_us > busy_us ? wall_us - busy_us : 0);
     }
   };

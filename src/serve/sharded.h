@@ -19,6 +19,7 @@
 
 #include "nw/alphabet.h"
 #include "obs/pulse.h"
+#include "query/engine.h"
 #include "serve/frozen_bank.h"
 #include "stream/token_stream.h"
 
@@ -63,6 +64,42 @@ struct ServeStats {
   }
 };
 
+/// One shard's mutable run state over a snapshot: a private SharedBank
+/// that extends it for the steps it misses and the engine stepping both.
+/// A ShardRun is confined to one thread; the snapshot and the alphabet
+/// are only read. EvaluateCorpus's workers keep one for every document
+/// they pull; the daemon's connection threads build one per document.
+class ShardRun {
+ public:
+  /// `frozen`, `sink` and `attr` must outlive the run; `sink` and `attr`
+  /// (either may be null) must be this thread's single-writer instances.
+  /// `num_symbols` and `other_symbol` configure the engine exactly like
+  /// the single-stream CLI path.
+  ShardRun(const FrozenBank* frozen, size_t num_symbols, Symbol other_symbol,
+           bool track_matches, StatsSink* sink, QueryAttribution* attr);
+
+  ShardRun(const ShardRun&) = delete;
+  ShardRun& operator=(const ShardRun&) = delete;
+
+  /// Streams one document through the whole bank, resolving names
+  /// read-only against `alphabet`. With a sink, also tallies the
+  /// shard-loop metrics: the document, its bytes and positions, and its
+  /// busy µs.
+  DocResult Evaluate(const std::string& doc, const Alphabet& alphabet,
+                     InputFormat format);
+
+  const QueryEngine& engine() const { return engine_; }
+  /// µs spent inside Evaluate, summed over this run's documents.
+  uint64_t busy_us() const { return busy_us_; }
+
+ private:
+  SharedBank bank_;
+  QueryEngine engine_;
+  StatsSink* sink_;
+  bool track_matches_;
+  uint64_t busy_us_ = 0;
+};
+
 /// Worker-threaded corpus evaluation over one frozen bank. Each
 /// EvaluateCorpus call spawns up to `threads` fresh workers and joins
 /// them before returning (no persistent pool — worker state is rebuilt
@@ -97,25 +134,9 @@ class ShardedEvaluator {
                                         const Alphabet& alphabet,
                                         bool track_matches);
 
-  /// Epoch swap API (NWDaemon): re-points the evaluator at a new frozen
-  /// snapshot between EvaluateCorpus calls. The evaluator keeps the
-  /// handle alive, so the previous epoch's snapshot may be released by
-  /// its publisher the moment the swap returns — workers are rebuilt per
-  /// EvaluateCorpus call and never hold the old pointer across calls.
-  /// `num_symbols` may grow across epochs (online admission interns new
-  /// element names); the catch-all symbol id is fixed at construction
-  /// and must stay in range. NOT safe concurrently with EvaluateCorpus
-  /// (the evaluator is single-dispatcher by contract); per-shard stats
-  /// sinks persist across swaps so per-epoch metrics fall out of NWPulse
-  /// snapshot deltas. If attribution tables were attached, the new bank
-  /// must keep the same query count (tables are sized to K and the
-  /// registry holds them by pointer) — attach with `with_attribution =
-  /// false` when serving a bank that admits or retires queries online.
-  void Rebind(std::shared_ptr<const FrozenBank> frozen, size_t num_symbols);
-
   /// Selects the tokenizer front end for subsequent EvaluateCorpus calls
-  /// (a daemon batch is one format; mixed traffic is dispatched as one
-  /// call per format). Same non-concurrency contract as Rebind.
+  /// (a mixed corpus is evaluated as one call per format). Not safe
+  /// concurrently with EvaluateCorpus.
   void set_format(InputFormat format) { format_ = format; }
 
   /// Counters of the most recent EvaluateCorpus call.
@@ -133,9 +154,7 @@ class ShardedEvaluator {
   /// cumulative across calls and owned by the evaluator, which must
   /// therefore outlive any registry render. Call once, before the first
   /// EvaluateCorpus. `with_attribution = false` skips the per-query
-  /// tables — required when the evaluator will be Rebind()-ed across
-  /// banks of different sizes (online admission changes K; the sinks
-  /// are K-free and carry over, the tables are not).
+  /// tables.
   void AttachStats(StatsRegistry* registry, bool with_attribution = true);
 
   /// Live in-flight progress of the current EvaluateCorpus call (corpus
@@ -152,9 +171,6 @@ class ShardedEvaluator {
 
  private:
   const FrozenBank* frozen_;
-  /// Keeps a Rebind()-ed epoch's snapshot alive; null when the evaluator
-  /// serves a caller-owned FrozenBank (the one-shot CLI path).
-  std::shared_ptr<const FrozenBank> frozen_handle_;
   size_t num_symbols_;
   Symbol other_;
   size_t threads_;

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -19,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <netinet/in.h>
@@ -30,6 +34,8 @@
 #include "opt/pipeline.h"
 #include "query/engine.h"
 #include "query/nwquery.h"
+#include "reference_protocol.h"
+#include "stream/tree_gen.h"
 #include "support/rng.h"
 #include "xml/xml.h"
 
@@ -115,6 +121,159 @@ TEST(DaemonProtocol, RejectsMalformedRequestsWhole) {
   EXPECT_NE(r.status().message().find("xml, json, or trace"),
             std::string::npos)
       << r.status().message();
+}
+
+// ---------------------------------------------------------------------------
+// Decoder differential: the run-decoding parser against the byte-at-a-time
+// oracle in tests/reference_protocol.h
+// ---------------------------------------------------------------------------
+
+/// `s` as Python's json.dumps writes it (ensure_ascii): short escapes
+/// for '"', '\\' and five controls, \u00XX for the other controls, and
+/// \uXXXX (a surrogate pair past the BMP) for every non-ASCII code
+/// point. `s` must be valid UTF-8.
+std::string PyJsonDumps(const std::string& s) {
+  std::string out = "\"";
+  auto hex4 = [&](uint32_t u) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+    out += buf;
+  };
+  for (size_t i = 0; i < s.size();) {
+    unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c < 0x80) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+          if (c < 0x20) {
+            hex4(c);
+          } else {
+            out.push_back(static_cast<char>(c));
+          }
+      }
+      ++i;
+      continue;
+    }
+    size_t len = c >= 0xF0 ? 4 : c >= 0xE0 ? 3 : 2;
+    uint32_t cp = c & (0x3F >> (len - 1));
+    for (size_t k = 1; k < len; ++k) {
+      cp = (cp << 6) | (static_cast<unsigned char>(s[i + k]) & 0x3F);
+    }
+    i += len;
+    if (cp >= 0x10000) {
+      cp -= 0x10000;
+      hex4(0xD800 + (cp >> 10));
+      hex4(0xDC00 + (cp & 0x3FF));
+    } else {
+      hex4(cp);
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+/// "" when the two parsers agree on `line` (the same request, or the
+/// same error message), else a description of the first difference.
+std::string DecoderDiff(const std::string& line) {
+  Result<DaemonRequest> got = ParseDaemonRequest(line);
+  Result<DaemonRequest> want = reference::ParseDaemonRequest(line);
+  if (got.ok() != want.ok()) {
+    return got.ok() ? "accepted; oracle: " + want.status().message()
+                    : "refused: " + got.status().message();
+  }
+  if (!got.ok()) {
+    return got.status().message() == want.status().message()
+               ? ""
+               : "error '" + got.status().message() + "' vs oracle '" +
+                     want.status().message() + "'";
+  }
+  if (got->doc != want->doc) return "doc differs";
+  if (got->op != want->op || got->format != want->format ||
+      got->has_format != want->has_format || got->label != want->label ||
+      got->query != want->query || got->qid != want->qid ||
+      got->has_qid != want->has_qid) {
+    return "fields differ";
+  }
+  return "";
+}
+
+TEST(DaemonProtocol, RunDecoderMatchesByteOracleOnSubmitLines) {
+  // NWBench-style lines: random trees rendered in each front end's
+  // syntax, quoted by json.dumps, some with non-ASCII text and controls.
+  const std::vector<std::string> names = {"a", "b", "c", "item", "x-y"};
+  const char* kFormats[] = {"xml", "json", "trace"};
+  Rng rng(2007);
+  size_t lines = 0;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<TreeNode> forest =
+        RandomForest(&rng, names, 20 + static_cast<size_t>(i) * 40, 6);
+    const std::string rendered[] = {RenderXml(forest), RenderJson(forest),
+                                    RenderTrace(forest)};
+    for (int f = 0; f < 3; ++f) {
+      std::string doc = rendered[f];
+      if (i % 4 == 1) doc += "caf\xc3\xa9 \xe2\x82\xac\t\"q\"\n";
+      if (i % 4 == 3) doc.insert(doc.size() / 2, "\xf0\x9f\x98\x80\\");
+      std::string line = "{\"op\":\"SUBMIT\",\"doc\":" + PyJsonDumps(doc) +
+                         ",\"format\":\"" + kFormats[f] +
+                         "\",\"label\":\"d" + std::to_string(i) + "\"}";
+      ASSERT_EQ(DecoderDiff(line), "") << line;
+      EXPECT_EQ(ParseDaemonRequest(line)->doc, doc);
+      ++lines;
+    }
+  }
+  EXPECT_EQ(lines, 180u);
+}
+
+TEST(DaemonProtocol, RunDecoderMatchesByteOracleUnderMutation) {
+  // Every mutation lands at every offset of a 40-byte run, so each byte
+  // of the decoder's 8-byte words (offset mod 8) meets each of them.
+  const std::string base = "<feed><entry>plain text run</entry></feed>";
+  const std::vector<std::string> mutations = {
+      "\"", "\\", "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t",
+      "\\u0041", "\\u00e9", "\\u20AC", "\\ud83d\\ude00",  // paired surrogates
+      "\\ud83d", "\\ude00", "\\ud83dx", "\\ud83d\\u0041",  // unpaired
+      "\\uZZZZ", "\\u12", "\\q", std::string(1, '\0'), "\x80", "\xff",
+      "\xc3\xa9", "\\\\\"", "\"\\"};
+  const std::string head = "{\"op\":\"SUBMIT\",\"doc\":\"";
+  const std::string tail = "\",\"label\":\"m\"}";
+  size_t checked = 0;
+  for (size_t at = 0; at <= base.size(); ++at) {
+    for (const std::string& m : mutations) {
+      std::string doc = base;
+      doc.insert(at, m);
+      const std::string line = head + doc + tail;
+      ASSERT_EQ(DecoderDiff(line), "")
+          << "mutation '" << m << "' at doc offset " << at;
+      // The line cut inside or right after the mutation: escapes and
+      // strings truncated at the line end.
+      for (size_t cut = 0; cut <= m.size(); ++cut) {
+        const std::string truncated = line.substr(0, head.size() + at + cut);
+        ASSERT_EQ(DecoderDiff(truncated), "")
+            << "mutation '" << m << "' at " << at << " cut at " << cut;
+      }
+      checked += 2 + m.size();
+    }
+  }
+  // Random byte insertions anywhere in the line, keys and framing too.
+  const std::string pool = std::string("\"\\u0/bfnrt{}:,dx9 ") + '\0' + "\x80";
+  Rng rng(20070611);
+  const std::string line = head + base + tail;
+  for (int i = 0; i < 4000; ++i) {
+    std::string mutated = line;
+    for (int k = 0, n = 1 + static_cast<int>(rng.Below(4)); k < n; ++k) {
+      mutated.insert(rng.Below(mutated.size() + 1), 1,
+                     pool[rng.Below(pool.size())]);
+    }
+    ASSERT_EQ(DecoderDiff(mutated), "") << mutated;
+    ++checked;
+  }
+  EXPECT_GT(checked, 10000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,6 +477,39 @@ TEST(DaemonCoreTest, InitErrorOnBadInitialQuery) {
   DaemonCore core({"//b", "//("}, options);
   EXPECT_FALSE(core.ok());
   EXPECT_FALSE(core.init_error().message().empty());
+}
+
+/// "n0 then n1 then ... n<count-1>", each name new to the daemon.
+std::string NameChain(size_t count) {
+  std::string chain = "n0";
+  for (size_t i = 1; i < count; ++i) chain += " then n" + std::to_string(i);
+  return chain;
+}
+
+TEST(DaemonCoreTest, RejectedAdmitsInternNoNames) {
+  DaemonOptions options;
+  DaemonCore core({"//b"}, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+  const size_t symbols = core.current_epoch()->num_symbols;
+
+  // A 70,000-name chain that fails to parse at its last byte. None of
+  // its names may stay interned: past 16-bit symbol ids the next valid
+  // ADMIT would abort compiling its return rules.
+  Result<uint64_t> bad = core.Admit(NameChain(70000) + ")");
+  ASSERT_FALSE(bad.ok());
+  ASSERT_TRUE(core.Admit("//b/b").ok());
+  EXPECT_EQ(core.current_epoch()->num_symbols, symbols);
+
+  // The same chain, syntactically valid: refused for its symbol count.
+  bad = core.Admit(NameChain(70000));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("symbol"), std::string::npos)
+      << bad.status().message();
+  ASSERT_TRUE(core.Admit("//b").ok());
+  EXPECT_EQ(core.current_epoch()->num_symbols, symbols);
+  EXPECT_EQ(core.current_epoch()->alphabet.size(), symbols);
+  core.DrainAndStop();
 }
 
 // ---------------------------------------------------------------------------
@@ -656,6 +848,221 @@ TEST(DaemonServerTest, RequestSplitAcrossManyWritesMatchesOneWrite) {
 
   server.Stop();
   runner.join();
+  core.DrainAndStop();
+}
+
+/// Entries of /proc/self/task: this process's threads.
+size_t ThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t n = 0;
+  while (struct dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+/// Lines of /proc/self/maps: this process's mappings. A thread that
+/// exits without being joined keeps its stack (and guard) mapped.
+size_t MapCount() {
+  FILE* f = std::fopen("/proc/self/maps", "r");
+  if (f == nullptr) return 0;
+  size_t n = 0;
+  for (int c; (c = std::fgetc(f)) != EOF;) n += c == '\n';
+  std::fclose(f);
+  return n;
+}
+
+/// Waits up to two seconds for the thread count to fall to `bound`.
+size_t ThreadCountSettlesTo(size_t bound) {
+  size_t n = ThreadCount();
+  for (int i = 0; i < 200 && n > bound; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = ThreadCount();
+  }
+  return n;
+}
+
+/// A started core plus a server running on its own thread.
+struct LiveServer {
+  explicit LiveServer(const char* tag, std::vector<std::string> queries = {
+                                           "//b"})
+      : core(queries, DaemonOptions{}) {
+    core.Start();
+    options.socket_path = TempSocketPath(tag);
+    server = std::make_unique<DaemonServer>(&core, options);
+    ok = server->Start().ok();
+    if (ok) runner = std::thread([this]() { server->Run(); });
+  }
+  ~LiveServer() {
+    server->Stop();
+    if (runner.joinable()) runner.join();
+    core.DrainAndStop();
+  }
+
+  DaemonCore core;
+  ServerOptions options;
+  std::unique_ptr<DaemonServer> server;
+  std::thread runner;
+  bool ok = false;
+};
+
+TEST(DaemonServerTest, ConnectionThreadsAreJoinedAsTheyFinish) {
+  LiveServer live("reap");
+  ASSERT_TRUE(live.ok);
+  const size_t start = ThreadCount();
+  const size_t maps = MapCount();
+  ASSERT_GT(start, 0u);
+  for (int i = 0; i < 2000; ++i) {
+    int fd = UnixConnect(live.options.socket_path);
+    ASSERT_GE(fd, 0) << "connection " << i;
+    std::string response = RoundTrip(fd, R"({"op":"SUBMIT","doc":"<b/>"})");
+    ASSERT_NE(response.find(R"("match":true)"), std::string::npos)
+        << "connection " << i << ": " << response;
+    ::close(fd);
+  }
+  EXPECT_LE(ThreadCountSettlesTo(start + 2), start + 2);
+  // Joined stacks are unmapped or cached; 2,000 unjoined ones would
+  // leave about 4,000 mappings behind.
+  EXPECT_LE(MapCount(), maps + 64);
+}
+
+TEST(DaemonServerTest, ConnectionsPastTheCapAreRefusedBusy) {
+  LiveServer live("busy");
+  ASSERT_TRUE(live.ok);
+  std::vector<int> fds;
+  for (size_t i = 0; i < kMaxConnections; ++i) {
+    int fd = UnixConnect(live.options.socket_path);
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    // Answered, so the server holds this connection open.
+    ASSERT_NE(RoundTrip(fd, "{}").find(R"("ok":false)"), std::string::npos);
+  }
+  int extra = UnixConnect(live.options.socket_path);
+  ASSERT_GE(extra, 0);
+  EXPECT_EQ(ReadLine(extra), R"({"ok":false,"error":"busy"})");
+  ::close(extra);
+  for (int fd : fds) ::close(fd);
+  // The closed connections are reaped, so a new one is served again.
+  std::string response;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    int fd = UnixConnect(live.options.socket_path);
+    ASSERT_GE(fd, 0);
+    response = RoundTrip(fd, R"({"op":"STATS"})");
+    ::close(fd);
+    if (response.find(R"("ok":true)") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_NE(response.find(R"("ok":true)"), std::string::npos) << response;
+}
+
+TEST(DaemonServerTest, OverlongRequestLineIsRefusedAndClosed) {
+  LiveServer live("oversize");
+  ASSERT_TRUE(live.ok);
+  int fd = UnixConnect(live.options.socket_path);
+  ASSERT_GE(fd, 0);
+  // One byte past the cap, with no newline: the server must answer
+  // without waiting for the rest of the line.
+  const std::string line(kMaxRequestBytes + 1, 'x');
+  size_t sent = 0;
+  while (sent < line.size()) {
+    ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                       MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  std::string response = ReadLine(fd);
+  EXPECT_NE(response.find(R"("ok":false)"), std::string::npos) << response;
+  EXPECT_NE(response.find("exceeds"), std::string::npos) << response;
+  char c;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "connection left open";
+  ::close(fd);
+
+  fd = UnixConnect(live.options.socket_path);
+  ASSERT_GE(fd, 0);
+  response = RoundTrip(fd, R"({"op":"STATS"})");
+  EXPECT_NE(response.find(R"("ok":true)"), std::string::npos) << response;
+  ::close(fd);
+}
+
+TEST(DaemonServerTest, EachSubmitRecordsOneSampleInEveryShare) {
+  LiveServer live("shares", {"//b", "/a/c"});
+  ASSERT_TRUE(live.ok);
+  const char* kShares[] = {"submit_wait_us", "submit_decode_us",
+                           "submit_eval_us", "submit_send_us"};
+  StatsSnapshot before = CaptureSnapshot(live.core.registry());
+  int fd = UnixConnect(live.options.socket_path);
+  ASSERT_GE(fd, 0);
+  constexpr uint64_t kSubmits = 25;
+  for (uint64_t i = 0; i < kSubmits; ++i) {
+    ASSERT_NE(RoundTrip(fd, R"({"op":"SUBMIT","doc":"<a><c/></a>"})")
+                  .find(R"("ok":true)"),
+              std::string::npos);
+    // Other ops and refused lines record no SUBMIT share.
+    ASSERT_NE(RoundTrip(fd, R"({"op":"STATS"})").find(R"("ok":true)"),
+              std::string::npos);
+    ASSERT_NE(RoundTrip(fd, "nope").find(R"("ok":false)"), std::string::npos);
+  }
+  // The render+send share lands after the reply is sent; STATS is
+  // answered after it on the same connection, so it is in by now.
+  std::string stats = RoundTrip(fd, R"({"op":"STATS"})");
+  ::close(fd);
+  SinkSnapshot delta =
+      SnapshotDelta(before, CaptureSnapshot(live.core.registry()))
+          .Aggregate();
+  for (const char* share : kShares) {
+    EXPECT_EQ(delta.histogram(share).count, kSubmits) << share;
+  }
+  EXPECT_EQ(delta.counter("daemon_docs"), kSubmits);
+  EXPECT_NE(stats.find(R"("submit_p50_us":{"wait":)"), std::string::npos)
+      << stats;
+  const std::string prom = live.core.registry().RenderProm();
+  const std::string json = live.core.registry().RenderJson();
+  for (const char* share : kShares) {
+    EXPECT_NE(prom.find(std::string("nw_") + share), std::string::npos)
+        << share;
+    EXPECT_NE(json.find(std::string("\"") + share + "\""), std::string::npos)
+        << share;
+  }
+}
+
+TEST(DaemonServerTest, StopReturnsWithIdleConnectionsOpen) {
+  DaemonOptions options;
+  DaemonCore core({"//b"}, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+  ServerOptions server_options;
+  server_options.socket_path = TempSocketPath("idle");
+  DaemonServer server(&core, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<bool> returned{false};
+  std::thread runner([&]() {
+    server.Run();
+    returned.store(true);
+  });
+
+  // Clients that stay connected, idle, while the server stops: each
+  // connection thread ends at its next idle poll and must still be
+  // joined by Run().
+  std::vector<int> fds;
+  for (int i = 0; i < 4; ++i) {
+    int fd = UnixConnect(server_options.socket_path);
+    ASSERT_GE(fd, 0);
+    ASSERT_NE(RoundTrip(fd, R"({"op":"STATS"})").find(R"("ok":true)"),
+              std::string::npos);
+    fds.push_back(fd);
+  }
+  server.Stop();
+  for (int i = 0; i < 1000 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!returned.load()) {
+    std::fprintf(stderr, "Run() did not return with idle connections open\n");
+    std::abort();
+  }
+  runner.join();
+  for (int fd : fds) ::close(fd);
   core.DrainAndStop();
 }
 
