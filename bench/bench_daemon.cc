@@ -121,7 +121,7 @@ size_t ColdPass(DaemonCore* core, const std::vector<std::string>& corpus,
 
 void LifecycleTable(const BenchConfig& cfg, BenchReport* report) {
   const size_t kQueries = 8;
-  const size_t kDocs = cfg.quick ? 16 : 32;  // <= replay_capacity
+  const size_t kDocs = cfg.quick ? 16 : 32;  // <= the 64-doc replay reservoir
   const size_t kPositions = cfg.quick ? 1u << 10 : 1u << 12;
   const size_t kThreads = 4;
 

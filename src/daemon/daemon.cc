@@ -1,10 +1,15 @@
 #include "daemon/daemon.h"
 
+#include <algorithm>
+
 #include "query/engine.h"
 #include "support/check.h"
 #include "support/stopwatch.h"
 
 namespace nw {
+
+/// Recent documents the refresh replays.
+constexpr size_t kReplayCapacity = 64;
 
 DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
                        const DaemonOptions& options)
@@ -14,26 +19,16 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
                "cannot be empty)");
   NW_CHECK_MSG(options_.threads >= 1, "daemon needs at least one thread");
 
-  for (const std::string& text : initial_queries) {
-    Result<Query> q = ParseQuery(text, &alphabet_);
-    if (!q.ok()) {
-      init_error_ = Status::Error("query '" + text +
-                                  "': " + q.status().message());
-      return;
-    }
-    Query ast = q.Take();
-    std::string normal = FormatQuery(ast, alphabet_);
-    admitted_.push_back(Admitted{next_qid_++, std::move(normal),
-                                 std::move(ast)});
+  size_t failed = 0;
+  Result<ParsedBank> parsed = ParseBank(initial_queries, &failed);
+  if (!parsed.ok()) {
+    init_error_ = Status::Error("query '" + initial_queries[failed] +
+                                "': " + parsed.status().message());
+    return;
   }
-  // Fix the low symbol space exactly like the CLI: query names, the
-  // text pseudo-symbol, then the catch-all. Admitted queries intern
-  // AFTER these, so the catch-all id is stable across every epoch.
-  alphabet_.Intern("#text");
-  other_ = alphabet_.Intern("%other");
-  if (alphabet_.size() > kMaxDaemonSymbols) {
+  if (parsed->alphabet.size() > kMaxDaemonSymbols) {
     init_error_ = Status::Error(
-        "initial queries name " + std::to_string(alphabet_.size()) +
+        "initial queries name " + std::to_string(parsed->alphabet.size()) +
         " symbols, past the limit of " + std::to_string(kMaxDaemonSymbols));
     return;
   }
@@ -52,9 +47,10 @@ DaemonCore::DaemonCore(const std::vector<std::string>& initial_queries,
   }
 
   // Warm start: serve an explored snapshot from the first document.
+  std::vector<uint64_t> qids;
+  while (qids.size() < initial_queries.size()) qids.push_back(next_qid_++);
   std::lock_guard<std::mutex> lock(admit_mu_);
-  RebuildBankLocked();
-  PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
+  RebuildLocked(std::move(qids), parsed.Take(), /*refreshed=*/true);
 }
 
 DaemonCore::~DaemonCore() { DrainAndStop(); }
@@ -84,19 +80,25 @@ void DaemonCore::DrainAndStop() {
   if (refresher_.joinable()) refresher_.join();
 }
 
-void DaemonCore::RebuildBankLocked() {
-  std::vector<Query> asts;
-  asts.reserve(admitted_.size());
-  for (const Admitted& a : admitted_) asts.push_back(a.ast);
+void DaemonCore::RebuildLocked(std::vector<uint64_t> qids, ParsedBank parsed,
+                               bool refreshed) {
+  auto epoch = std::make_shared<DaemonEpoch>(
+      std::make_shared<const Alphabet>(std::move(parsed.alphabet)),
+      parsed.other);
+  epoch->qids = std::move(qids);
+  epoch->query_texts = std::move(parsed.texts);
   // Every pass, the shared product included: the daemon serves frozen
   // snapshots of it. No compile timeline, which would race the /metrics
   // renders (admissions record while scrapes read).
-  bank_ = std::make_shared<OptimizedBank>(
-      OptimizeBank(asts, alphabet_.size(), OptOptions::All()));
+  epoch->bank = std::make_shared<OptimizedBank>(OptimizeBank(
+      parsed.queries, epoch->alphabet.size(), OptOptions::All()));
+  PublishEpochLocked(std::move(epoch), refreshed);
 }
 
-void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
-  if (explore) {
+void DaemonCore::PublishEpochLocked(std::shared_ptr<DaemonEpoch> epoch,
+                                    bool refreshed) {
+  SharedBank* shared = epoch->bank->shared.get();
+  if (refreshed) {
     // Replay recent traffic through the live bank first: streaming IS
     // exploration (the memo table interns every tuple the documents
     // visit), so the tuples the shards' banks kept stepping are
@@ -108,33 +110,20 @@ void DaemonCore::PublishEpochLocked(bool refreshed, bool explore) {
       replay.assign(replay_.begin(), replay_.end());
     }
     if (!replay.empty()) {
-      // Names resolve read-only against the master alphabet (admit_mu_
-      // is held, so nothing interns meanwhile); one the bank was not
-      // compiled over steps as the catch-all, as it does when served.
-      QueryEngine trainer(bank_->shared->num_symbols());
-      trainer.set_other_symbol(other_);
-      trainer.AddBank(bank_->shared.get());
+      // Names resolve read-only against the epoch's alphabet; one its
+      // queries do not mention steps as the catch-all, as when served.
+      QueryEngine trainer(shared->num_symbols());
+      trainer.set_other_symbol(epoch->other);
+      trainer.AddBank(shared);
       for (const ReplayDoc& d : replay) {
-        trainer.RunAll(d.text, &alphabet_, d.format);
+        trainer.RunAll(d.text, &epoch->alphabet, d.format);
       }
     }
-    bank_->shared->ExploreAll(options_.refresh_cap, nullptr);
+    shared->ExploreAll(options_.refresh_cap, nullptr);
   }
-  // The alphabet only grows, so an unchanged size means the published
-  // copy is current and this epoch shares it.
-  if (published_names_ == nullptr ||
-      published_names_->size() != alphabet_.size()) {
-    published_names_ = std::make_shared<const Alphabet>(alphabet_);
-  }
-  auto epoch = std::make_shared<DaemonEpoch>(published_names_);
   epoch->id = next_epoch_id_++;
   epoch->refreshed = refreshed;
-  for (const Admitted& a : admitted_) {
-    epoch->qids.push_back(a.qid);
-    epoch->query_texts.push_back(a.text);
-  }
-  epoch->bank = bank_;
-  epoch->frozen = FrozenBank::FreezeShared(*bank_->shared);
+  epoch->frozen = FrozenBank::FreezeShared(*shared);
   epoch->num_symbols = epoch->frozen->num_symbols();
   epoch->baseline = CaptureSnapshot(registry_);
   uint64_t id = epoch->id;
@@ -165,12 +154,11 @@ void DaemonCore::RecordSubmitTransport(uint64_t decode_us,
 }
 
 void DaemonCore::RememberDoc(std::string text, InputFormat format) {
-  if (options_.replay_capacity == 0) return;
   ReplayDoc evicted;
   {
     std::lock_guard<std::mutex> lock(replay_mu_);
     replay_.push_back(ReplayDoc{std::move(text), format});
-    if (replay_.size() > options_.replay_capacity) {
+    if (replay_.size() > kReplayCapacity) {
       evicted = std::move(replay_.front());
       replay_.pop_front();
     }
@@ -201,7 +189,7 @@ Result<SubmitOutcome> DaemonCore::Submit(std::string doc,
     // A fresh bank per document: what the snapshot misses interns into
     // a bank this document alone steps, freed when it completes.
     const DaemonEpoch& epoch = *outcome.epoch;
-    ShardRun run(epoch.frozen.get(), epoch.num_symbols, other_,
+    ShardRun run(epoch.frozen.get(), epoch.num_symbols, epoch.other,
                  /*track_matches=*/true, sink, /*attr=*/nullptr);
     outcome.result = run.Evaluate(doc, epoch.alphabet, format);
   }
@@ -223,30 +211,32 @@ Result<SubmitOutcome> DaemonCore::Submit(std::string doc,
 Result<uint64_t> DaemonCore::Admit(const std::string& query_text) {
   std::lock_guard<std::mutex> lock(admit_mu_);
   Stopwatch sw;
-  // Names intern into a copy, which replaces the master alphabet only
-  // once the query is accepted: a rejected ADMIT interns nothing.
-  Alphabet names = alphabet_;
-  Result<Query> q = ParseQuery(query_text, &names);
-  if (!q.ok()) {
-    return Status::Error("admit: " + q.status().message());
+  // The admitted normal forms re-parse cleanly, so only the new text can
+  // fail; a rejected ADMIT leaves the live epoch as it was.
+  std::shared_ptr<const DaemonEpoch> live = current_epoch();
+  std::vector<std::string> texts = live->query_texts;
+  texts.push_back(query_text);
+  Result<ParsedBank> parsed = ParseBank(texts);
+  if (!parsed.ok()) {
+    return Status::Error("admit: " + parsed.status().message());
   }
-  if (names.size() > kMaxDaemonSymbols) {
+  if (parsed->alphabet.size() > kMaxDaemonSymbols) {
     return Status::Error(
         "admit: the query's names would take the symbol space to " +
-        std::to_string(names.size()) + ", past the limit of " +
+        std::to_string(parsed->alphabet.size()) + ", past the limit of " +
         std::to_string(kMaxDaemonSymbols));
   }
-  alphabet_ = std::move(names);
-  Query ast = q.Take();
-  std::string normal = FormatQuery(ast, alphabet_);
   uint64_t qid = next_qid_++;
-  admitted_.push_back(Admitted{qid, std::move(normal), std::move(ast)});
-  RebuildBankLocked();
+  std::vector<uint64_t> qids = live->qids;
+  qids.push_back(qid);
+  // Let the superseded epoch die at the swap, before the refresher is
+  // woken, not after it on this thread's way to the reply.
+  live.reset();
   // Cold publication: freezing the unexplored bank snapshots just the
   // initial state, so admission latency is compile-bound. Every step
   // misses to the shards' banks (correct, slower) until the refresh
   // nudged below publishes the explored snapshot.
-  PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
+  RebuildLocked(std::move(qids), parsed.Take(), /*refreshed=*/false);
   daemon_sink_.daemon_admissions.Inc();
   daemon_sink_.admission_latency_us.Record(
       static_cast<uint64_t>(sw.ElapsedUs()));
@@ -260,25 +250,24 @@ Result<uint64_t> DaemonCore::Admit(const std::string& query_text) {
 
 Status DaemonCore::Retire(uint64_t qid) {
   std::lock_guard<std::mutex> lock(admit_mu_);
-  size_t index = admitted_.size();
-  for (size_t i = 0; i < admitted_.size(); ++i) {
-    if (admitted_[i].qid == qid) {
-      index = i;
-      break;
-    }
-  }
-  if (index == admitted_.size()) {
+  std::shared_ptr<const DaemonEpoch> live = current_epoch();
+  std::vector<uint64_t> qids = live->qids;
+  auto it = std::find(qids.begin(), qids.end(), qid);
+  if (it == qids.end()) {
     return Status::Error("retire: no admitted query with qid " +
                          std::to_string(qid));
   }
-  if (admitted_.size() == 1) {
+  if (qids.size() == 1) {
     return Status::Error(
         "retire: cannot retire the last query (a shared bank cannot be "
         "empty); admit a replacement first or SHUTDOWN");
   }
-  admitted_.erase(admitted_.begin() + static_cast<ptrdiff_t>(index));
-  RebuildBankLocked();
-  PublishEpochLocked(/*refreshed=*/false, /*explore=*/false);
+  std::vector<std::string> texts = live->query_texts;
+  texts.erase(texts.begin() + (it - qids.begin()));
+  qids.erase(it);
+  live.reset();  // as in Admit
+  RebuildLocked(std::move(qids), ParseBank(texts).Take(),
+                /*refreshed=*/false);
   daemon_sink_.daemon_retirements.Inc();
   {
     std::lock_guard<std::mutex> rlock(refresh_mu_);
@@ -312,8 +301,15 @@ void DaemonCore::RefresherLoop() {
       target = refresh_requested_;
     }
     {
+      // Re-freeze the live bank, explored, as a new epoch of the same
+      // admission set: same queries, alphabet and catch-all.
       std::lock_guard<std::mutex> lock(admit_mu_);
-      PublishEpochLocked(/*refreshed=*/true, /*explore=*/true);
+      std::shared_ptr<const DaemonEpoch> live = current_epoch();
+      auto epoch = std::make_shared<DaemonEpoch>(live->names, live->other);
+      epoch->qids = live->qids;
+      epoch->query_texts = live->query_texts;
+      epoch->bank = live->bank;
+      PublishEpochLocked(std::move(epoch), /*refreshed=*/true);
     }
     handled = target;
     {

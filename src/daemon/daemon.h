@@ -6,29 +6,34 @@
 // snapshot epoch-style:
 //
 //   epoch — an immutable published serving state: the admitted queries,
-//     their optimized bank, a FrozenBank snapshot, the alphabet at
-//     publish time, and the NWPulse baseline capture per-epoch metrics
-//     delta against. Published RCU-fashion as shared_ptr<const
+//     their symbol space and catch-all, their optimized bank, a
+//     FrozenBank snapshot, and the NWPulse baseline capture per-epoch
+//     metrics delta against. Published RCU-fashion as shared_ptr<const
 //     DaemonEpoch>: readers (SUBMITs, STATS renders) copy the handle
 //     and never block a publisher; a superseded epoch is reclaimed when
 //     its last holder drops it.
 //
-//   admission — ADMIT parses the query against a copy of the master
-//     alphabet (kept only if the query is accepted), re-runs the
-//     optimizer pipeline over the whole bank, and publishes a COLD
-//     epoch (frozen without exploration: the snapshot holds just the
-//     initial state, so every step misses to the SUBMITs' banks —
-//     correct immediately, slow until refreshed). Admission latency is
-//     therefore compile-bound, not exploration-bound.
+//   admission — an epoch is a function of its query texts alone: ADMIT
+//     and RETIRE hand ParseBank (query/nwquery.h) the admitted normal
+//     forms, the new text added or the retired one dropped, and rebuild
+//     from its result. The symbol space holds just the names the live
+//     queries mention, then #text and %other, so a name leaves with the
+//     last query that mentions it; a text that fails to parse, or a bank
+//     past kMaxDaemonSymbols, is rejected and changes nothing. The whole
+//     bank is recompiled and published as a COLD epoch (frozen without
+//     exploration: the snapshot holds just the initial state, so every
+//     step misses to the SUBMITs' banks — correct immediately, slow
+//     until refreshed). Admission latency is therefore compile-bound,
+//     not exploration-bound.
 //
 //   refresh — a background thread replays a bounded reservoir of recent
 //     documents through the live SharedBank (promoting the tuples real
 //     traffic needs, exactly the ones the SUBMITs' banks kept stepping),
 //     completes with a capped ExploreAll, freezes, and publishes a
-//     refreshed epoch sharing the same bank — so the frozen hit rate
-//     climbs back toward 1.0 after every admission, with zero reader
-//     stalls (a SUBMIT keeps streaming over the old snapshot until its
-//     document completes).
+//     refreshed epoch sharing the same bank and alphabet — so the frozen
+//     hit rate climbs back toward 1.0 after every admission, with zero
+//     reader stalls (a SUBMIT keeps streaming over the old snapshot
+//     until its document completes).
 //
 // Threading: a SUBMIT is evaluated on the thread that calls Submit (the
 // server's connection thread). It checks out one of `threads` engine
@@ -67,7 +72,7 @@ namespace nw {
 
 /// The largest symbol space an epoch may have: Nwa's return table packs
 /// a symbol id into 16 bits, so ids run 0..65535. An ADMIT whose names
-/// would take the master alphabet past it is rejected.
+/// would take the live bank's symbol space past it is rejected.
 inline constexpr size_t kMaxDaemonSymbols = size_t{1} << 16;
 
 /// Construction-time knobs for DaemonCore.
@@ -79,18 +84,14 @@ struct DaemonOptions {
   /// ExploreAll state cap for the refresh pass (the nwquery freeze cap's
   /// daemon twin; a bank that trips it serves the partial snapshot).
   size_t refresh_cap = 1u << 16;
-  /// Recent documents kept for refresh replay (0 disables replay; the
-  /// refresh is then pure ExploreAll).
-  size_t replay_capacity = 64;
 };
 
 /// One published serving state. Immutable after publication; the `bank`
 /// is shared with later refreshed epochs of the same admission set and
-/// is mutated ONLY under the core's admission mutex — never through
-/// this struct.
+/// is mutated ONLY by the refresher, under the core's admission mutex.
 struct DaemonEpoch {
-  explicit DaemonEpoch(std::shared_ptr<const Alphabet> names)
-      : names(std::move(names)), alphabet(*this->names) {}
+  DaemonEpoch(std::shared_ptr<const Alphabet> names, Symbol other)
+      : names(std::move(names)), alphabet(*this->names), other(other) {}
 
   uint64_t id = 0;
   /// True when this epoch's snapshot came from a refresh (replay +
@@ -105,11 +106,15 @@ struct DaemonEpoch {
   std::shared_ptr<OptimizedBank> bank;
   /// The immutable snapshot this epoch serves — the RCU unit.
   std::shared_ptr<const FrozenBank> frozen;
-  /// Master-alphabet snapshot at publish, shared by every epoch until
-  /// an admission interns a new name, so a refresh copies none.
+  /// The symbol space ParseBank laid out over `query_texts`: built by
+  /// the ADMIT, RETIRE or startup that compiled `bank`, and shared by
+  /// the epochs its refreshes publish.
   std::shared_ptr<const Alphabet> names;
   /// `*names`: the shard workers resolve names against it read-only.
   const Alphabet& alphabet;
+  /// `%other` in `alphabet`: every name the queries do not mention
+  /// steps as it.
+  Symbol other;
   size_t num_symbols = 0;
   /// Registry capture at publish: per-epoch metrics are
   /// SnapshotDelta(baseline, now).
@@ -168,10 +173,11 @@ struct EpochMetrics {
 class DaemonCore {
  public:
   /// Parses and compiles `initial_queries` (normal nwquery grammar, one
-  /// per entry), builds epoch 0 cold, then refreshes synchronously so
-  /// startup serves a warm snapshot. Aborts (NW_CHECK) on an empty
-  /// list; a query that fails to parse leaves the object unusable with
-  /// the message in init_error() — check ok() before Start().
+  /// per entry) and explores epoch 0 before publishing it, so startup
+  /// serves a warm snapshot. Aborts (NW_CHECK) on an empty list; a query
+  /// that fails to parse leaves the object unusable with the message,
+  /// which quotes the query, in init_error() — check ok() before
+  /// Start().
   DaemonCore(const std::vector<std::string>& initial_queries,
              const DaemonOptions& options);
   ~DaemonCore();
@@ -207,15 +213,16 @@ class DaemonCore {
   /// Thread-safe.
   void RecordSubmitTransport(uint64_t decode_us, uint64_t send_us);
 
-  /// Admits one query online: compile + optimize into a fresh bank,
-  /// publish a cold epoch, nudge the background refresh. Returns the
-  /// new query's admission id. A query that fails to parse, or whose
-  /// new names would take the symbol space past kMaxDaemonSymbols, is
-  /// rejected and interns nothing. Thread-safe; admissions serialize.
+  /// Admits one query online: rebuild from the admitted texts plus this
+  /// one, publish a cold epoch, nudge the background refresh. Returns
+  /// the new query's admission id. A query that fails to parse, or whose
+  /// names would take the symbol space past kMaxDaemonSymbols, is
+  /// rejected and changes nothing. Thread-safe; admissions serialize.
   Result<uint64_t> Admit(const std::string& query_text);
 
-  /// Retires an admitted query by id. Rejects unknown ids and the last
-  /// remaining query. Thread-safe.
+  /// Retires an admitted query by id: rebuild from the other texts, so
+  /// names only it mentioned leave the symbol space. Rejects unknown ids
+  /// and the last remaining query. Thread-safe.
   Status Retire(uint64_t qid);
 
   /// Blocks until a refresh published at or after this call completes —
@@ -241,15 +248,17 @@ class DaemonCore {
   InputFormat default_format() const { return options_.default_format; }
 
  private:
-  /// Builds bank + frozen from `admitted_` and publishes a new epoch.
-  /// `refreshed` tags the epoch; `explore` runs the replay + ExploreAll
-  /// warmup before freezing (cold admissions skip it). Caller holds
-  /// admit_mu_.
-  void PublishEpochLocked(bool refreshed, bool explore);
+  /// Compiles ParseBank's `parsed` into a fresh bank and publishes it,
+  /// with `qids` parallel to its texts, as a new epoch over its alphabet:
+  /// warm (`refreshed`) or cold. Caller holds admit_mu_.
+  void RebuildLocked(std::vector<uint64_t> qids, ParsedBank parsed,
+                     bool refreshed);
 
-  /// Rebuilds the OptimizedBank from the admitted ASTs. Caller holds
-  /// admit_mu_.
-  void RebuildBankLocked();
+  /// Freezes `epoch`'s bank and publishes the epoch. `refreshed` tags it
+  /// and first runs the replay + ExploreAll warmup (cold rebuilds skip
+  /// it). Caller holds admit_mu_.
+  void PublishEpochLocked(std::shared_ptr<DaemonEpoch> epoch,
+                          bool refreshed);
 
   void RefresherLoop();
 
@@ -259,21 +268,10 @@ class DaemonCore {
   DaemonOptions options_;
   Status init_error_;
 
-  // -- admission state (admit_mu_): the master alphabet, the admitted
-  // query list, and the bank under construction. --
+  // -- admission (admit_mu_): rebuilds and refreshes serialize here. The
+  // admitted queries are the current epoch's qids and query_texts. --
   mutable std::mutex admit_mu_;
-  Alphabet alphabet_;
-  /// The latest published copy of alphabet_ (see DaemonEpoch::names).
-  std::shared_ptr<const Alphabet> published_names_;
-  Symbol other_ = Alphabet::kNoSymbol;
-  struct Admitted {
-    uint64_t qid;
-    std::string text;  ///< normal form (FormatQuery)
-    Query ast;         ///< pre-rewrite AST, recompiled on every rebuild
-  };
-  std::vector<Admitted> admitted_;
   uint64_t next_qid_ = 0;
-  std::shared_ptr<OptimizedBank> bank_;
 
   // -- epoch publication (state_mu_): the RCU pointer swap. --
   mutable std::mutex state_mu_;

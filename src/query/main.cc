@@ -613,26 +613,26 @@ int main(int argc, char** argv) {
   CompileTimeline timeline;
   Stopwatch parse_sw;
 
-  // Phase 1: parse every query, interning element names.
-  Alphabet alphabet;
-  std::vector<Query> queries;
-  std::vector<std::string> query_texts;
+  // Phase 1: parse every query line over the queries' own symbol space —
+  // their names, the text pseudo-symbol, and a catch-all for element
+  // names first seen inside documents (ParseBank).
+  std::vector<std::string> lines;
+  std::vector<size_t> linenos;  // of each entry of `lines`
   std::string line;
-  size_t lineno = 0;
-  while (std::getline(qf, line)) {
-    ++lineno;
+  for (size_t lineno = 1; std::getline(qf, line); ++lineno) {
     std::string stripped = line.substr(0, line.find('#'));
     if (stripped.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Result<Query> q = ParseQuery(stripped, &alphabet);
-    if (!q.ok()) {
-      std::fprintf(stderr, "nwquery: %s:%zu: %s\n", opt.query_file.c_str(),
-                   lineno, q.status().message().c_str());
-      return 1;
-    }
-    queries.push_back(q.Take());
-    query_texts.push_back(FormatQuery(queries.back(), alphabet));
+    lines.push_back(std::move(stripped));
+    linenos.push_back(lineno);
   }
-  if (queries.empty()) {
+  size_t failed = 0;
+  Result<ParsedBank> parsed = ParseBank(lines, &failed);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "nwquery: %s:%zu: %s\n", opt.query_file.c_str(),
+                 linenos[failed], parsed.status().message().c_str());
+    return 1;
+  }
+  if (lines.empty()) {
     std::fprintf(stderr, "nwquery: %s holds no queries\n",
                  opt.query_file.c_str());
     return 1;
@@ -640,11 +640,8 @@ int main(int argc, char** argv) {
   timeline.Record("parse", static_cast<uint64_t>(parse_sw.ElapsedUs()), 0, 0);
   if (opt.stats) opt.opt.timeline = &timeline;
 
-  // Phase 2: fix the symbol space — query names, the text pseudo-symbol,
-  // and a catch-all for element names first seen inside documents — and
-  // run every query through the optimizer pipeline over it.
-  alphabet.Intern("#text");
-  Symbol other = alphabet.Intern("%other");
+  // Phase 2: run every query through the optimizer pipeline.
+  const auto& [alphabet, other, queries, query_texts] = *parsed;
   const size_t num_symbols = alphabet.size();
   OptimizedBank bank = OptimizeBank(queries, num_symbols, opt.opt);
   if (opt.stats_text()) {

@@ -382,4 +382,21 @@ std::string FormatQuery(const Query& q, const Alphabet& alphabet) {
   return out;
 }
 
+Result<ParsedBank> ParseBank(const std::vector<std::string>& texts,
+                             size_t* failed) {
+  ParsedBank bank;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    Result<Query> q = ParseQuery(texts[i], &bank.alphabet);
+    if (!q.ok()) {
+      if (failed != nullptr) *failed = i;
+      return q.status();
+    }
+    bank.queries.push_back(q.Take());
+    bank.texts.push_back(FormatQuery(bank.queries.back(), bank.alphabet));
+  }
+  bank.alphabet.Intern("#text");
+  bank.other = bank.alphabet.Intern("%other");
+  return bank;
+}
+
 }  // namespace nw

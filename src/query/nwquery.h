@@ -159,6 +159,25 @@ Result<Query> ParseQuery(const std::string& text, Alphabet* alphabet);
 /// yields a structurally equal query.
 std::string FormatQuery(const Query& q, const Alphabet& alphabet);
 
+/// A list of queries parsed over their own symbol space: the names they
+/// mention in order of first mention, then the text pseudo-symbol
+/// `#text`, then the catch-all `%other` that every other name steps as.
+struct ParsedBank {
+  Alphabet alphabet;
+  /// The catch-all's id, `alphabet`'s last symbol.
+  Symbol other = Alphabet::kNoSymbol;
+  std::vector<Query> queries;
+  /// Normal forms (FormatQuery), parallel to `queries`.
+  std::vector<std::string> texts;
+};
+
+/// Parses one query per entry of `texts` into a ParsedBank — the one
+/// place the symbol layout is decided, so a bank's alphabet is a
+/// function of its texts alone. On a parse error, returns the parser's
+/// message and sets `*failed` (when given) to the failing entry's index.
+Result<ParsedBank> ParseBank(const std::vector<std::string>& texts,
+                             size_t* failed = nullptr);
+
 }  // namespace nw
 
 #endif  // NW_QUERY_NWQUERY_H_

@@ -278,10 +278,35 @@ TEST(DaemonProtocol, RunDecoderMatchesByteOracleUnderMutation) {
 
 // ---------------------------------------------------------------------------
 // Oracle: an independent single-stream compilation of an epoch's query
-// texts. Symbol ids differ from the daemon's master alphabet, but accept
-// vectors, first-match positions, and position counts are id-independent
+// texts. An epoch is a function of those texts alone, so its alphabet
+// must be, name by name, the one ParseBank lays out over them, and its
+// catch-all that alphabet's %other; the oracle checks both, then
+// compares accept vectors, first-match positions, and position counts
 // (unknown names map to the %other catch-all on both sides).
 // ---------------------------------------------------------------------------
+
+/// "" when `epoch`'s symbol space is ParseBank's over its query texts,
+/// else a description of the first difference.
+std::string LayoutDiff(const DaemonEpoch& epoch) {
+  Result<ParsedBank> want = ParseBank(epoch.query_texts);
+  if (!want.ok()) return "query texts do not re-parse";
+  if (epoch.alphabet.size() != want->alphabet.size() ||
+      epoch.num_symbols != want->alphabet.size()) {
+    return "alphabet holds " + std::to_string(epoch.alphabet.size()) +
+           " symbols, ParseBank " + std::to_string(want->alphabet.size());
+  }
+  for (Symbol s = 0; s < want->alphabet.size(); ++s) {
+    if (epoch.alphabet.Name(s) != want->alphabet.Name(s)) {
+      return "symbol " + std::to_string(s) + " is '" +
+             epoch.alphabet.Name(s) + "', ParseBank's '" +
+             want->alphabet.Name(s) + "'";
+    }
+  }
+  if (epoch.other != want->alphabet.Find("%other")) {
+    return "the catch-all is not %other";
+  }
+  return "";
+}
 
 struct Oracle {
   Alphabet alphabet;
@@ -290,9 +315,10 @@ struct Oracle {
   size_t num_symbols = 0;
   OptimizedBank bank;
   std::unique_ptr<QueryEngine> engine;
+  std::string layout_diff;
 
-  explicit Oracle(const std::vector<std::string>& texts) {
-    for (const std::string& text : texts) {
+  explicit Oracle(const DaemonEpoch& epoch) : layout_diff(LayoutDiff(epoch)) {
+    for (const std::string& text : epoch.query_texts) {
       queries.push_back(ParseQuery(text, &alphabet).Take());
     }
     alphabet.Intern("#text");
@@ -326,9 +352,7 @@ class OracleCache {
   Oracle* For(const DaemonEpoch& epoch) {
     auto it = cache_.find(epoch.id);
     if (it == cache_.end()) {
-      it = cache_.emplace(epoch.id,
-                          std::make_unique<Oracle>(epoch.query_texts))
-               .first;
+      it = cache_.emplace(epoch.id, std::make_unique<Oracle>(epoch)).first;
     }
     return it->second.get();
   }
@@ -340,6 +364,7 @@ class OracleCache {
 /// One comparison; returns a description of the first mismatch or "".
 std::string CompareOutcome(const SubmitOutcome& outcome, Oracle* oracle,
                            const std::string& doc, InputFormat format) {
+  if (!oracle->layout_diff.empty()) return oracle->layout_diff;
   DocResult want = oracle->Eval(doc, format);
   const DocResult& got = outcome.result;
   if (want.accept != got.accept) return "accept vector mismatch";
@@ -477,6 +502,81 @@ TEST(DaemonCoreTest, InitErrorOnBadInitialQuery) {
   DaemonCore core({"//b", "//("}, options);
   EXPECT_FALSE(core.ok());
   EXPECT_FALSE(core.init_error().message().empty());
+}
+
+TEST(DaemonCoreTest, InitErrorQuotesTheFailingQuery) {
+  DaemonOptions options;
+  DaemonCore core({"//b", "/a then", "//("}, options);
+  ASSERT_FALSE(core.ok());
+  EXPECT_NE(core.init_error().message().find("'/a then'"), std::string::npos)
+      << core.init_error().message();
+}
+
+TEST(DaemonCoreTest, RetiringAnInitialQueryFreesItsNames) {
+  DaemonOptions options;
+  DaemonCore core({"//b", "//zz/yy"}, options);
+  ASSERT_TRUE(core.ok());
+  EXPECT_EQ(core.current_epoch()->num_symbols, 5u);  // b zz yy #text %other
+
+  // Once //zz/yy is gone, zz and yy step as %other; //b still latches on
+  // <b>, the fifth position.
+  const std::string doc = "<zz><yy></yy></zz><b></b>";
+  auto b_match = [&] {
+    SubmitOutcome outcome = core.Submit(doc, InputFormat::kXml).Take();
+    EXPECT_TRUE(outcome.result.accept[0]);
+    return outcome.result.first_match[0];
+  };
+  EXPECT_EQ(b_match(), 5);
+  ASSERT_TRUE(core.Retire(1).ok());
+  // No refresher runs before Start(), so the cold epoch serves here.
+  std::shared_ptr<const DaemonEpoch> cold = core.current_epoch();
+  EXPECT_FALSE(cold->refreshed);
+  EXPECT_EQ(cold->num_symbols, 3u);
+  EXPECT_EQ(cold->alphabet.Find("zz"), Alphabet::kNoSymbol);
+  EXPECT_EQ(b_match(), 5);
+
+  core.Start();
+  core.AwaitRefresh();
+  EXPECT_TRUE(core.current_epoch()->refreshed);
+  EXPECT_EQ(core.current_epoch()->num_symbols, 3u);
+  EXPECT_EQ(b_match(), 5);
+  core.DrainAndStop();
+}
+
+TEST(DaemonCoreTest, NamesLeaveWithTheirQueries) {
+  DaemonOptions options;
+  options.refresh_cap = 512;
+  std::vector<std::string> bank = InitialQueries();
+  for (const char* q : {"a then b", "//a/*/c", "balanced b c", "/d//e"}) {
+    bank.push_back(q);
+  }
+  DaemonCore core(bank, options);
+  ASSERT_TRUE(core.ok());
+  core.Start();
+  const size_t symbols = core.current_epoch()->num_symbols;
+
+  // Each cycle admits a query over two names no other query mentions,
+  // serves one document with it, and retires it: the names must leave
+  // with it, from the cold epoch and from the refreshed one.
+  for (int i = 0; i < 200; ++i) {
+    const std::string n = "n" + std::to_string(i);
+    const std::string m = "m" + std::to_string(i);
+    Result<uint64_t> qid = core.Admit("//" + n + "/" + m);
+    ASSERT_TRUE(qid.ok()) << qid.status().message();
+    SubmitOutcome outcome =
+        core.Submit("<" + n + "><" + m + "/></" + n + ">", InputFormat::kXml)
+            .Take();
+    EXPECT_EQ(outcome.epoch->num_symbols, symbols + 2);
+    EXPECT_TRUE(outcome.result.accept.back()) << "cycle " << i;
+    ASSERT_TRUE(core.Retire(*qid).ok());
+    EXPECT_EQ(core.current_epoch()->num_symbols, symbols) << "cycle " << i;
+    core.AwaitRefresh();
+    std::shared_ptr<const DaemonEpoch> epoch = core.current_epoch();
+    ASSERT_EQ(epoch->num_symbols, symbols) << "cycle " << i;
+    ASSERT_EQ(epoch->alphabet.size(), symbols) << "cycle " << i;
+    ASSERT_EQ(epoch->qids.size(), bank.size()) << "cycle " << i;
+  }
+  core.DrainAndStop();
 }
 
 /// "n0 then n1 then ... n<count-1>", each name new to the daemon.

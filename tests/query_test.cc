@@ -146,17 +146,101 @@ Alphabet QueryAlphabet() {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// A random query the parser can produce over `names`: paths with
+/// wildcards and both axes, `then` chains of 2-4 names, depth guards,
+/// balanced atoms, and and/or/not nested up to `depth` deep.
+Query RandomQuery(Rng* rng, const std::vector<Symbol>& names, int depth) {
+  auto name = [&] { return names[rng->Below(names.size())]; };
+  switch (rng->Below(depth == 0 ? 4 : 7)) {
+    case 0: {
+      std::vector<PathStep> steps(1 + rng->Below(4));
+      for (PathStep& s : steps) {
+        s.axis = rng->Chance(1, 2) ? Axis::kChild : Axis::kDescendant;
+        s.name = rng->Chance(1, 4) ? Alphabet::kNoSymbol : name();
+      }
+      return Query::Path(std::move(steps));
+    }
+    case 1: {
+      std::vector<Symbol> chain(2 + rng->Below(3));
+      for (Symbol& s : chain) s = name();
+      return Query::Order(std::move(chain));
+    }
+    case 2:
+      return Query::MinDepth(rng->Below(40));
+    case 3: {
+      Symbol a = name();
+      return Query::Balanced(a, name());
+    }
+    case 4:
+    case 5: {
+      Query l = RandomQuery(rng, names, depth - 1);
+      Query r = RandomQuery(rng, names, depth - 1);
+      return rng->Chance(1, 2) ? Query::And(std::move(l), std::move(r))
+                               : Query::Or(std::move(l), std::move(r));
+    }
+    default:
+      return Query::Not(RandomQuery(rng, names, depth - 1));
+  }
+}
+
 TEST(QueryParser, FormatIsANormalForm) {
-  Alphabet sigma;
-  for (const char* text : kQueryShapes) {
+  // The fixed shapes, then random trees printed over a name pool whose
+  // names run into the keywords' letters.
+  std::vector<std::string> inputs(std::begin(kQueryShapes),
+                                  std::end(kQueryShapes));
+  const size_t num_fixed = inputs.size();
+  Alphabet pool;
+  std::vector<Symbol> names;
+  for (const char* n : {"a", "b", "item", "x-y", "n_1", "not_", "andy",
+                        "depth2", "thenable"}) {
+    names.push_back(pool.Intern(n));
+  }
+  Rng rng(20070611);
+  for (int i = 0; i < 5000; ++i) {
+    inputs.push_back(FormatQuery(RandomQuery(&rng, names, 4), pool));
+  }
+  // Each text parses, prints, and re-parses into a FRESH alphabet to the
+  // same tree over the same names in the same order: a daemon epoch is
+  // rebuilt from its queries' printed forms alone.
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& text = inputs[i];
+    Alphabet sigma;
     Result<Query> q = ParseQuery(text, &sigma);
     ASSERT_TRUE(q.ok()) << text << ": " << q.status().message();
     std::string printed = FormatQuery(*q, sigma);
-    Result<Query> again = ParseQuery(printed, &sigma);
+    if (i >= num_fixed) EXPECT_EQ(printed, text);
+    Alphabet fresh;
+    Result<Query> again = ParseQuery(printed, &fresh);
     ASSERT_TRUE(again.ok()) << printed;
     EXPECT_TRUE(*q == *again) << text << " vs " << printed;
-    EXPECT_EQ(printed, FormatQuery(*again, sigma)) << text;
+    EXPECT_EQ(printed, FormatQuery(*again, fresh)) << text;
+    ASSERT_EQ(sigma.size(), fresh.size()) << text;
+    for (Symbol s = 0; s < sigma.size(); ++s) {
+      EXPECT_EQ(sigma.Name(s), fresh.Name(s)) << text;
+    }
   }
+}
+
+TEST(QueryParser, ParseBankLaysOutItsOwnSymbols) {
+  Result<ParsedBank> bank = ParseBank({"//b/a", "(c then b)", "depth >= 2"});
+  ASSERT_TRUE(bank.ok()) << bank.status().message();
+  // Names in order of first mention, then #text, then the catch-all.
+  const std::vector<std::string> layout = {"b", "a", "c", "#text", "%other"};
+  ASSERT_EQ(bank->alphabet.size(), layout.size());
+  for (Symbol s = 0; s < layout.size(); ++s) {
+    EXPECT_EQ(bank->alphabet.Name(s), layout[s]);
+  }
+  EXPECT_EQ(bank->other, bank->alphabet.Find("%other"));
+  EXPECT_EQ(bank->queries.size(), 3u);
+  EXPECT_EQ(bank->texts,
+            (std::vector<std::string>{"//b/a", "c then b", "depth >= 2"}));
+
+  // An error names the text that failed.
+  size_t failed = 99;
+  Result<ParsedBank> bad = ParseBank({"//b", "//b", "//(", "//c"}, &failed);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(failed, 2u);
+  EXPECT_NE(bad.status().message().find("offset"), std::string::npos);
 }
 
 TEST(QueryParser, PrecedenceAndAssociativity) {
